@@ -13,12 +13,8 @@ adversaries for the E11 gauntlet.
 from repro.adversaries.base import Adversary
 from repro.adversaries.batched import (
     BatchedAdversary,
-    BatchedRandomVotesAdversary,
-    BatchedSilentAdversary,
-    BatchedSplitVoteAdversary,
     PerLaneAdversary,
     VectorSlotSplitVoteAdversary,
-    batched_adversary_for,
 )
 from repro.adversaries.silent import SilentAdversary
 from repro.adversaries.concentrate import ConcentrateAdversary
@@ -38,13 +34,9 @@ __all__ = [
     "ADVERSARY_REGISTRY",
     "Adversary",
     "BatchedAdversary",
-    "BatchedRandomVotesAdversary",
-    "BatchedSilentAdversary",
-    "BatchedSplitVoteAdversary",
     "ConcentrateAdversary",
     "PerLaneAdversary",
     "VectorSlotSplitVoteAdversary",
-    "batched_adversary_for",
     "FloodAdversary",
     "MimicAdversary",
     "ObliviousSplitVoteAdversary",

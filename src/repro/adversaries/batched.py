@@ -2,16 +2,16 @@
 
 The batched engine asks its adversary one lane at a time —
 ``act(lane, round_no, view)`` — because each lane's attack depends on
-that lane's own billboard history and rng stream. What batching buys on
-the adversary side is therefore *within-lane* vectorization of the
-expensive adversaries, not cross-lane fusion:
+that lane's own billboard history and rng stream. Every adversary runs
+in lanes as one scalar instance per lane behind
+:class:`PerLaneAdversary`; there is no cross-lane fusion.
 
-* the split-vote adversary's vote-slot pool becomes a numpy array with a
-  vectorized distinct-identity allocator
-  (:class:`VectorSlotSplitVoteAdversary`), replacing the quadratic Python
-  list rebuild that dominates the scalar engine's E3 profile;
-* silent and random-votes adversaries are already O(1) per round and run
-  as plain per-lane instances.
+The one exception with its own mechanism is the split-vote adversary:
+its vote-slot pool becomes a numpy array with a vectorized
+distinct-identity allocator (:class:`VectorSlotSplitVoteAdversary`),
+replacing the quadratic Python list rebuild that dominates the hard E3
+cell. ``SplitVoteAdversary.make_batched`` builds one such instance per
+lane.
 
 Equivalence contract: per lane, the rng draw sequence and the emitted
 actions are exactly the scalar adversary's for the same instance and
@@ -21,16 +21,13 @@ stream. The split-vote subclass below only re-implements the slot
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.adversaries.base import Adversary
-from repro.adversaries.random_votes import RandomVotesAdversary
-from repro.adversaries.silent import SilentAdversary
 from repro.adversaries.split_vote import SplitVoteAdversary
 from repro.billboard.views import BillboardView
-from repro.core.parameters import DistillParameters
 from repro.sim.actions import VoteAction
 from repro.world.instance import Instance
 
@@ -57,44 +54,18 @@ class BatchedAdversary:
 class PerLaneAdversary(BatchedAdversary):
     """Adapter: one scalar :class:`Adversary` instance per lane.
 
-    The automatic fallback that makes every scalar adversary batchable;
-    draw sequences are trivially identical because each lane runs its own
-    instance against its own pinned stream.
-    """
-
-    def __init__(self, adversaries: Sequence[Adversary]) -> None:
-        if not adversaries:
-            raise ValueError("PerLaneAdversary needs at least one lane")
-        self._adversaries = list(adversaries)
-        self.name = self._adversaries[0].name
-
-    def reset_lanes(
-        self,
-        instances: Sequence[Instance],
-        rngs: Sequence[np.random.Generator],
-    ) -> None:
-        for adversary, instance, rng in zip(self._adversaries, instances, rngs):
-            adversary.reset(instance, rng)
-
-    def act(
-        self, lane: int, round_no: int, view: BillboardView
-    ) -> List[VoteAction]:
-        return self._adversaries[lane].act(round_no, view)
-
-
-class MixedLaneAdversary(BatchedAdversary):
-    """Per-lane *optional* adversaries, for grid lanes.
-
-    Grid-packed batches (:func:`~repro.sim.runner.run_trial_grid`) may mix
-    lanes from experiment cells with different adversaries — including
-    cells with none at all. ``None`` lanes are inert: they emit no
-    actions and their pinned adversary stream is never touched, exactly
-    like a scalar run with ``adversary=None``.
+    Each lane runs its own instance against its own pinned stream, so
+    draw sequences are trivially identical to the scalar engine's.
+    Grid-packed batches (:func:`~repro.sim.runner.run_trial_grid`) may
+    mix lanes from cells with different adversaries — including cells
+    with none at all: ``None`` lanes are inert, emitting no actions and
+    never touching their pinned adversary stream, exactly like a scalar
+    run with ``adversary=None``.
     """
 
     def __init__(self, adversaries: Sequence[Optional[Adversary]]) -> None:
         if not adversaries:
-            raise ValueError("MixedLaneAdversary needs at least one lane")
+            raise ValueError("PerLaneAdversary needs at least one lane")
         self._adversaries = list(adversaries)
         named = [a for a in self._adversaries if a is not None]
         self.name = named[0].name if named else "adversary"
@@ -158,71 +129,3 @@ class VectorSlotSplitVoteAdversary(SplitVoteAdversary):
             for obj, row in zip(targets[:n_batches], taken)
             for p in row
         ]
-
-
-class BatchedSilentAdversary(PerLaneAdversary):
-    """Lane-indexed silent adversary (a no-op per lane)."""
-
-    def __init__(self, n_lanes: int) -> None:
-        super().__init__([SilentAdversary() for _ in range(n_lanes)])
-
-
-class BatchedRandomVotesAdversary(PerLaneAdversary):
-    """Lane-indexed random-votes adversary.
-
-    The scalar implementation pre-draws its whole schedule at reset and
-    acts by dict lookup, so per-lane instances are already optimal.
-    """
-
-    def __init__(self, n_lanes: int, horizon: int = 64) -> None:
-        super().__init__(
-            [RandomVotesAdversary(horizon=horizon) for _ in range(n_lanes)]
-        )
-
-
-class BatchedSplitVoteAdversary(PerLaneAdversary):
-    """Lane-indexed split-vote adversary with vectorized slot pools."""
-
-    def __init__(
-        self,
-        n_lanes: int,
-        params: Optional[DistillParameters] = None,
-        step11_fraction: float = 0.25,
-        step13_fraction: float = 0.5,
-        votes_per_identity: int = 1,
-    ) -> None:
-        super().__init__(
-            [
-                VectorSlotSplitVoteAdversary(
-                    params=params,
-                    step11_fraction=step11_fraction,
-                    step13_fraction=step13_fraction,
-                    votes_per_identity=votes_per_identity,
-                )
-                for _ in range(n_lanes)
-            ]
-        )
-
-
-def batched_adversary_for(
-    make_adversary: Optional[Callable[[], Optional[Adversary]]],
-    n_lanes: int,
-) -> Optional[BatchedAdversary]:
-    """Build the batched counterpart of a scalar adversary factory.
-
-    Scalar adversaries that batch themselves natively expose
-    ``make_batched(n_lanes)``; everything else gets one instance per lane.
-    ``None`` factories (or factories returning ``None``) mean no
-    adversary.
-    """
-    if make_adversary is None:
-        return None
-    template = make_adversary()
-    if template is None:
-        return None
-    maker = getattr(template, "make_batched", None)
-    if maker is not None:
-        return maker(n_lanes)
-    return PerLaneAdversary(
-        [template] + [make_adversary() for _ in range(n_lanes - 1)]
-    )

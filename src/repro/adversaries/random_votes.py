@@ -34,12 +34,6 @@ class RandomVotesAdversary(Adversary):
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         self.horizon = horizon
 
-    def make_batched(self, n_lanes: int) -> "BatchedRandomVotesAdversary":
-        """Trial-lane counterpart (see :mod:`repro.adversaries.batched`)."""
-        from repro.adversaries.batched import BatchedRandomVotesAdversary
-
-        return BatchedRandomVotesAdversary(n_lanes, horizon=self.horizon)
-
     def reset(self, instance: Instance, rng: np.random.Generator) -> None:
         super().reset(instance, rng)
         self._schedule = {}

@@ -20,11 +20,5 @@ class SilentAdversary(Adversary):
 
     name = "silent"
 
-    def make_batched(self, n_lanes: int) -> "BatchedSilentAdversary":
-        """Trial-lane counterpart (see :mod:`repro.adversaries.batched`)."""
-        from repro.adversaries.batched import BatchedSilentAdversary
-
-        return BatchedSilentAdversary(n_lanes)
-
     def act(self, round_no: int, view: BillboardView) -> List[VoteAction]:
         return []

@@ -34,7 +34,7 @@ Attack plan per window:
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
@@ -45,6 +45,9 @@ from repro.core.tracker import DistillPhase, DistillPhaseTracker
 from repro.sim.actions import VoteAction
 from repro.strategies.base import StrategyContext
 from repro.world.instance import Instance
+
+if TYPE_CHECKING:  # type-only: repro.adversaries.batched imports this module
+    from repro.adversaries.batched import PerLaneAdversary
 
 
 class SplitVoteAdversary(Adversary):
@@ -93,16 +96,28 @@ class SplitVoteAdversary(Adversary):
         self.step11_fraction = step11_fraction
         self.step13_fraction = step13_fraction
 
-    def make_batched(self, n_lanes: int) -> "BatchedSplitVoteAdversary":
-        """Trial-lane counterpart (see :mod:`repro.adversaries.batched`)."""
-        from repro.adversaries.batched import BatchedSplitVoteAdversary
+    def make_batched(self, n_lanes: int) -> "PerLaneAdversary":
+        """One vectorized-slot instance per lane (see
+        :class:`~repro.adversaries.batched.VectorSlotSplitVoteAdversary`).
 
-        return BatchedSplitVoteAdversary(
-            n_lanes,
-            params=self.params,
-            step11_fraction=self.step11_fraction,
-            step13_fraction=self.step13_fraction,
-            votes_per_identity=self.votes_per_identity,
+        Only this class's own lanes get the twin: the lane builder skips
+        it for subclasses, which run their own scalar instances.
+        """
+        from repro.adversaries.batched import (
+            PerLaneAdversary,
+            VectorSlotSplitVoteAdversary,
+        )
+
+        return PerLaneAdversary(
+            [
+                VectorSlotSplitVoteAdversary(
+                    params=self.params,
+                    step11_fraction=self.step11_fraction,
+                    step13_fraction=self.step13_fraction,
+                    votes_per_identity=self.votes_per_identity,
+                )
+                for _ in range(n_lanes)
+            ]
         )
 
     # ------------------------------------------------------------------

@@ -16,16 +16,10 @@
 
 from repro.baselines.trivial import TrivialStrategy
 from repro.baselines.async_ec04 import AsyncEC04Strategy
-from repro.baselines.batched import (
-    BatchedFullCooperationStrategy,
-    BatchedTrivialStrategy,
-)
 from repro.baselines.full_cooperation import FullCooperationStrategy
 
 __all__ = [
     "AsyncEC04Strategy",
-    "BatchedFullCooperationStrategy",
-    "BatchedTrivialStrategy",
     "FullCooperationStrategy",
     "TrivialStrategy",
 ]

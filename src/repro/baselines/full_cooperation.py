@@ -42,12 +42,6 @@ class FullCooperationStrategy(Strategy):
         self._consumed = 0
         self._trusted_good: Optional[int] = None
 
-    def make_batched(self, n_lanes: int) -> "BatchedFullCooperationStrategy":
-        """Native trial-lane counterpart (see :mod:`repro.baselines.batched`)."""
-        from repro.baselines.batched import BatchedFullCooperationStrategy
-
-        return BatchedFullCooperationStrategy()
-
     def choose_probes(
         self,
         round_no: int,

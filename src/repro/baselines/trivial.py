@@ -25,12 +25,6 @@ class TrivialStrategy(Strategy):
         if not ctx.supports_local_testing:
             raise ValueError("TrivialStrategy requires local testing")
 
-    def make_batched(self, n_lanes: int) -> "BatchedTrivialStrategy":
-        """Native trial-lane counterpart (see :mod:`repro.baselines.batched`)."""
-        from repro.baselines.batched import BatchedTrivialStrategy
-
-        return BatchedTrivialStrategy()
-
     def choose_probes(
         self,
         round_no: int,

@@ -241,9 +241,8 @@ class LaneBoard:
     ) -> List[Post]:
         """The log in append order, materialized to ``Post`` on demand.
 
-        This is the compatibility path for per-lane adapter strategies;
-        native batched strategies use the ledger queries and never pay
-        for materialization.
+        Only protocols that read raw posts pay for materialization;
+        DISTILL and the split-vote mirror use the ledger queries.
         """
         rounds = self._rounds.view()
         cutoff = rounds.size

@@ -17,7 +17,6 @@
 """
 
 from repro.core.parameters import DistillParameters
-from repro.core.batched import BatchedDistillStrategy
 from repro.core.distill import DistillStrategy
 from repro.core.distill_hp import DistillHPStrategy, hp_parameters
 from repro.core.alpha_doubling import AlphaDoublingStrategy
@@ -28,7 +27,6 @@ from repro.core.three_phase import ThreePhaseStrategy
 
 __all__ = [
     "AlphaDoublingStrategy",
-    "BatchedDistillStrategy",
     "DistillHPStrategy",
     "DistillParameters",
     "DistillStrategy",

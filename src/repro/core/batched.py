@@ -1,111 +1,9 @@
-"""Native batched DISTILL: one phase tracker per lane, shared helper code.
+"""DISTILL in trial lanes: one scalar
+:class:`~repro.core.distill.DistillStrategy` per lane, like every other
+strategy (see :class:`~repro.strategies.batched.PerLaneStrategy`)."""
 
-The batched engine's lanes are independent trials, so DISTILL's per-lane
-state is exactly the scalar strategy's state — a
-:class:`~repro.core.tracker.DistillPhaseTracker` and an
-:class:`~repro.strategies.probe_advice.AdviceAlternator` — held once per
-lane. Both helpers are *reused*, not re-implemented, which is what makes
-the per-lane draw sequences bit-identical to
-:class:`~repro.core.distill.DistillStrategy` by construction: the same
-code takes the same draws from the same pinned per-trial rng stream.
+from repro.strategies.batched import PerLaneStrategy
 
-The cross-lane win is structural, not numeric: one round-loop iteration
-services every lane, and the lane boards answer the tracker's queries
-from columnar storage instead of Post lists.
-"""
-
-from __future__ import annotations
-
-from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
-
-from repro.billboard.views import BillboardView
-from repro.core.parameters import DistillParameters
-from repro.core.tracker import DistillPhaseTracker
-from repro.strategies.base import StrategyContext
-from repro.strategies.batched import BatchedStrategy
-from repro.strategies.probe_advice import AdviceAlternator
-
-
-class BatchedDistillStrategy(BatchedStrategy):
-    """Lane-indexed Algorithm DISTILL (local-testing model)."""
-
-    name = "distill"
-
-    def __init__(
-        self,
-        params: Optional[DistillParameters] = None,
-        universe: Optional[np.ndarray] = None,
-    ) -> None:
-        self.params = params or DistillParameters()
-        self._universe = universe
-
-    def reset_lanes(
-        self,
-        contexts: Sequence[StrategyContext],
-        rngs: Sequence[np.random.Generator],
-    ) -> None:
-        for ctx in contexts:
-            if not ctx.supports_local_testing:
-                raise ValueError(
-                    "DistillStrategy is the Section 4 (local-testing) "
-                    "algorithm; use NoLocalTestingDistill for the "
-                    "Section 5.3 model"
-                )
-        self._contexts = list(contexts)
-        self._rngs = list(rngs)
-        self._trackers = [
-            DistillPhaseTracker(ctx, self.params, universe=self._universe)
-            for ctx in contexts
-        ]
-        self._alternators = [AdviceAlternator(ctx.n) for ctx in contexts]
-
-    def choose_probes_batch(
-        self,
-        round_no: int,
-        lanes: Sequence[int],
-        active_players: Sequence[np.ndarray],
-        views: Sequence[BillboardView],
-    ) -> List[np.ndarray]:
-        out: List[np.ndarray] = []
-        for k, active, view in zip(lanes, active_players, views):
-            tracker = self._trackers[k]
-            tracker.advance(round_no, view)
-            if tracker.is_advice_round(round_no):
-                choice = self._alternators[k].advise(
-                    active.size, view, self._rngs[k]
-                )
-            else:
-                choice = self._alternators[k].explore(
-                    tracker.pool, active.size, self._rngs[k]
-                )
-            out.append(choice)
-        return out
-
-    def handle_results_batch(
-        self,
-        round_no: int,
-        lanes: Sequence[int],
-        players: Sequence[np.ndarray],
-        objects: Sequence[np.ndarray],
-        values: Sequence[np.ndarray],
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        out: List[Tuple[np.ndarray, np.ndarray]] = []
-        for k, vals in zip(lanes, values):
-            threshold = self._contexts[k].good_threshold
-            good = vals >= threshold
-            out.append((good, good))
-        return out
-
-    def info(self, lane: int) -> Dict[str, Any]:
-        ctx = self._contexts[lane]
-        out = self._trackers[lane].diagnostics()
-        out.update(
-            algorithm=self.name,
-            alpha_assumed=self.params.resolved_alpha(ctx.alpha),
-            beta_assumed=self.params.resolved_beta(ctx.beta),
-            k1=self.params.k1,
-            k2=self.params.k2,
-        )
-        return out
+# Kept because perfbench/sims.py imports this name and wraps its
+# choose_probes_batch/handle_results_batch for per-layer attribution.
+BatchedDistillStrategy = PerLaneStrategy

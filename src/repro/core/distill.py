@@ -85,12 +85,6 @@ class DistillStrategy(Strategy):
             self.tracker.pool, active_players.size, self.rng
         )
 
-    def make_batched(self, n_lanes: int) -> "BatchedDistillStrategy":
-        """Native trial-lane counterpart (see :mod:`repro.core.batched`)."""
-        from repro.core.batched import BatchedDistillStrategy
-
-        return BatchedDistillStrategy(self.params, universe=self._universe)
-
     def info(self) -> Dict[str, Any]:
         out = self.tracker.diagnostics()
         out.update(

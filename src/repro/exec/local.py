@@ -90,7 +90,7 @@ class LocalPoolExecutor(Executor):
             for start in range(0, len(pending), step):
                 harvest(
                     (
-                        runner._run_serial_chunk(
+                        runner._run_chunk(
                             list(pending[start : start + step]), state
                         ),
                         None,

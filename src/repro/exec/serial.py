@@ -43,7 +43,7 @@ class SerialExecutor(Executor):
         step = state.get("batch_lanes", 1) or 1
         results: ResultMap = {}
         for start in range(0, len(pending), step):
-            pairs = runner._run_serial_chunk(
+            pairs = runner._run_chunk(
                 list(pending[start : start + step]), state
             )
             results.update(pairs)

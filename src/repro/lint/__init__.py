@@ -21,13 +21,6 @@ rule, its rationale, and the ``# repro: noqa=RPLxxx(reason)`` suppression
 syntax are documented in ``docs/static_analysis.md``.
 """
 
-from repro.lint.baseline import (
-    Baseline,
-    BaselineDrift,
-    compare_to_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.engine import (
     DEFAULT_CACHE,
     DEFAULT_PATHS,
@@ -40,8 +33,6 @@ from repro.lint.engine import (
 from repro.lint.rules import PROJECT_RULES, RULES, Rule
 
 __all__ = [
-    "Baseline",
-    "BaselineDrift",
     "DEFAULT_CACHE",
     "DEFAULT_PATHS",
     "LintError",
@@ -49,10 +40,7 @@ __all__ = [
     "RULES",
     "Rule",
     "Violation",
-    "compare_to_baseline",
     "lint_paths",
     "lint_project",
     "lint_source",
-    "load_baseline",
-    "write_baseline",
 ]

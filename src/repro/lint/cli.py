@@ -1,24 +1,17 @@
 """``python -m repro.lint`` — the determinism-contract gate.
 
-Exit codes: ``0`` clean (every violation baselined), ``1`` dirty (new
-violations, or baseline entries whose debt was paid without updating the
-file), ``2`` usage or I/O error.
+Exit codes: ``0`` clean, ``1`` violations found, ``2`` usage or I/O
+error. There is no baseline: a violation is fixed or carries a reasoned
+inline ``# repro: noqa=RPLxxx(reason)``.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import subprocess
 import sys
 from typing import List, Optional, Set
 
-from repro.lint.baseline import (
-    BaselineDrift,
-    compare_to_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.engine import (
     DEFAULT_CACHE,
     DEFAULT_PATHS,
@@ -27,11 +20,6 @@ from repro.lint.engine import (
 )
 from repro.lint.report import render_json, render_rules, render_text
 from repro.lint.rules import PROJECT_RULES
-
-#: discovered automatically in the working directory when --baseline is
-#: not given, so `python -m repro.lint src tests` run from the repo root
-#: honours the committed inventory
-DEFAULT_BASELINE = "reprolint-baseline.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,28 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["text", "json"],
         default="text",
         help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help=(
-            "baseline file of inventoried pre-existing violations "
-            f"(default: {DEFAULT_BASELINE} when it exists)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file; report every violation",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help=(
-            "rewrite the baseline file from the current violations and "
-            "exit 0 (use after intentionally fixing baselined debt)"
-        ),
     )
     parser.add_argument(
         "--select",
@@ -156,21 +122,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.list_rules:
         sys.stdout.write(render_rules())
         return 0
-    if args.write_baseline and args.diff:
-        parser.error("--write-baseline needs a full run, not --diff")
 
     select = (
         [code.strip() for code in args.select.split(",") if code.strip()]
         if args.select
         else None
     )
-    baseline_path = args.baseline
-    if baseline_path is None and not args.no_baseline:
-        baseline_path = (
-            DEFAULT_BASELINE if os.path.exists(DEFAULT_BASELINE) else None
-        )
-    if args.no_baseline:
-        baseline_path = None
     cache_path = None if args.no_cache else args.cache
 
     try:
@@ -180,7 +137,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             jobs=max(1, args.jobs),
             cache_path=cache_path,
         )
-        restrict: Optional[Set[str]] = None
         if args.diff is not None:
             changed = _changed_files(args.diff)
             # cross-file findings always surface: an edit in one file
@@ -190,31 +146,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                 for v in violations
                 if v.path in changed or v.code in PROJECT_RULES
             ]
-            restrict = changed | {
-                v.path for v in violations if v.code in PROJECT_RULES
-            }
-        if args.write_baseline:
-            target = args.baseline or DEFAULT_BASELINE
-            count = write_baseline(target, violations)
-            sys.stdout.write(
-                f"reprolint: baseline of {count} violation(s) written to "
-                f"{target}\n"
-            )
-            return 0
-        drift: Optional[BaselineDrift] = None
-        reported = violations
-        if baseline_path is not None:
-            drift = compare_to_baseline(
-                violations,
-                load_baseline(baseline_path),
-                restrict_paths=restrict,
-            )
-            reported = drift.new
     except (LintError, ValueError) as exc:
         sys.stderr.write(f"reprolint: error: {exc}\n")
         return 2
 
     renderer = render_json if args.format == "json" else render_text
-    sys.stdout.write(renderer(reported, drift, args.paths))
-    dirty = bool(reported) or (drift is not None and not drift.clean)
-    return 1 if dirty else 0
+    sys.stdout.write(renderer(violations, args.paths))
+    return 1 if violations else 0

@@ -56,7 +56,7 @@ class LintError(Exception):
 
 @dataclass(frozen=True, order=True)
 class Violation:
-    """One finding, carrying everything the reports and baseline need."""
+    """One finding, carrying everything the reports need."""
 
     path: str
     line: int
@@ -68,12 +68,11 @@ class Violation:
 
     @property
     def fingerprint(self) -> str:
-        """Line-number-independent identity used by the baseline file.
+        """Line-number-independent identity, carried by the JSON report.
 
         Binds the *file*, the *rule*, and the *content* of the flagged
-        line, so unrelated edits that shift line numbers do not churn
-        the baseline, while any change to the flagged line itself
-        surfaces as a new violation.
+        line, so two reports can be matched up across unrelated edits
+        that shift line numbers.
         """
         digest = hashlib.sha256(
             self.line_text.strip().encode("utf-8")

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
-from repro.lint.baseline import BaselineDrift
 from repro.lint.engine import Violation
 from repro.lint.rules import RULES
 
@@ -25,50 +24,30 @@ def _violation_dict(violation: Violation) -> Dict[str, Any]:
 
 
 def render_json(
-    reported: Sequence[Violation],
-    drift: Optional[BaselineDrift],
-    checked_paths: Sequence[str],
+    reported: Sequence[Violation], checked_paths: Sequence[str]
 ) -> str:
     """Machine-readable report (the CI artifact format)."""
     counts = Counter(v.code for v in reported)
     payload: Dict[str, Any] = {
         "tool": "reprolint",
         "paths": list(checked_paths),
-        "clean": not reported and (drift is None or drift.clean),
+        "clean": not reported,
         "counts": {code: counts[code] for code in sorted(counts)},
         "violations": [_violation_dict(v) for v in reported],
     }
-    if drift is not None:
-        payload["baseline"] = {
-            "suppressed": drift.suppressed,
-            "new": len(drift.new),
-            "stale": list(drift.stale),
-        }
     return json.dumps(payload, indent=2) + "\n"
 
 
 def render_text(
-    reported: Sequence[Violation],
-    drift: Optional[BaselineDrift],
-    checked_paths: Sequence[str],
+    reported: Sequence[Violation], checked_paths: Sequence[str]
 ) -> str:
     """Human-readable report."""
     lines: List[str] = [violation.render() for violation in reported]
-    if drift is not None and drift.stale:
-        lines.append(
-            f"stale baseline: {len(drift.stale)} entr"
-            f"{'y' if len(drift.stale) == 1 else 'ies'} no longer match "
-            "any violation — the debt was paid; regenerate the baseline "
-            "with --write-baseline so the shrink is committed:"
-        )
-        lines.extend(f"    {fingerprint}" for fingerprint in drift.stale)
     summary = (
         f"reprolint: {len(reported)} violation(s) in "
         f"{', '.join(checked_paths)}"
     )
-    if drift is not None:
-        summary += f" ({drift.suppressed} baselined)"
-    if not reported and (drift is None or drift.clean):
+    if not reported:
         summary += " — clean"
     lines.append(summary)
     return "\n".join(lines) + "\n"

@@ -250,7 +250,7 @@ def _mentions_player_dim(node: ast.AST) -> bool:
 
 @dataclass(frozen=True, order=True)
 class RawViolation:
-    """A rule hit before suppression/baseline processing."""
+    """A rule hit before suppression processing."""
 
     line: int
     col: int

@@ -99,6 +99,7 @@ from repro.world.instance import Instance
 
 if TYPE_CHECKING:  # type-only: avoids a package-level import cycle
     from repro.adversaries.base import Adversary
+    from repro.adversaries.batched import BatchedAdversary
 
 InstanceFactory = Callable[[np.random.Generator], Instance]
 StrategyFactory = Callable[[], Strategy]
@@ -372,13 +373,6 @@ def _executor_chain(
     return chain
 
 
-def _run_serial_chunk(
-    chunk: Sequence[_IndexedSeed], state: Dict[str, Any]
-) -> List[Tuple[int, _TrialRecord]]:
-    """Run one chunk in-process (the serial path and the degraded pool)."""
-    return _run_chunk(chunk, state)
-
-
 def _run_chunk(
     chunk: Sequence[_IndexedSeed], state: Dict[str, Any]
 ) -> List[Tuple[int, _TrialRecord]]:
@@ -394,14 +388,30 @@ def _run_chunk(
     if obs is not None:
         obs.counter("runner.chunks").add()
     if lanes > 1:
+        cell = GridCell(
+            make_instance=state["make_instance"],
+            make_strategy=state["make_strategy"],
+            make_adversary=state["make_adversary"],
+            make_context=state["make_context"],
+            fault_plan=state["fault_plan"],
+        )
         out: List[Tuple[int, _TrialRecord]] = []
         for start in range(0, len(chunk), lanes):
             group = list(chunk[start : start + lanes])
             try:
-                out.extend(_execute_trial_batch(group, **state))
+                records = _execute_grid_group(
+                    [(0, index, seed) for index, seed in group],
+                    [cell],
+                    state["config"],
+                    state["keep_metrics"],
+                    state["timeout"],
+                    state["substrate"],
+                    obs,
+                )
             except TrialTimeoutError as exc:
                 labels = ", ".join(str(index) for index, _seed in group)
                 raise TrialTimeoutError(f"trials {labels}: {exc}") from None
+            out.extend(zip((index for index, _seed in group), records))
         return out
     out = []
     for index, seed_sequence in chunk:
@@ -411,92 +421,6 @@ def _run_chunk(
             raise TrialTimeoutError(f"trial {index}: {exc}") from None
         out.append((index, record))
     return out
-
-
-def _execute_trial_batch(
-    group: Sequence[_IndexedSeed],
-    make_instance: InstanceFactory,
-    make_strategy: StrategyFactory,
-    make_adversary: AdversaryFactory,
-    make_context: Optional[ContextFactory],
-    config: Optional[EngineConfig],
-    keep_metrics: bool,
-    fault_plan: Optional[FaultPlan] = None,
-    timeout: Optional[float] = None,
-    substrate: Optional[str] = None,
-    obs: Optional[Registry] = None,
-) -> List[Tuple[int, _TrialRecord]]:
-    """Run one group of trials as lanes of a single :class:`BatchedEngine`.
-
-    Per lane, the stream spawn order is *exactly* :func:`_execute_trial`'s
-    pinned contract — world, honest coins, adversary coins, faults — from
-    that trial's own pre-derived seed sequence, so each lane's randomness
-    is bit-identical to a scalar run of the same trial. A non-null
-    ``fault_plan`` gets one scalar :class:`FaultInjector` per lane on
-    that lane's pinned fourth stream, batched behind a
-    :class:`~repro.faults.batched.BatchedFaultInjector`. The wall-clock
-    deadline scales with the group: ``timeout`` is a per-trial budget and
-    a batch advances ``len(group)`` trials.
-    """
-    from repro.adversaries.batched import batched_adversary_for
-    from repro.faults.batched import BatchedFaultInjector
-    from repro.strategies.batched import batched_strategy_for
-
-    wants_faults = fault_plan is not None and not fault_plan.is_null()
-    budget = timeout * len(group) if timeout is not None else None
-    with _trial_deadline(budget):
-        instances: List[Instance] = []
-        honest_rngs: List[np.random.Generator] = []
-        adversary_rngs: List[np.random.Generator] = []
-        injectors: List[Optional[FaultInjector]] = []
-        for _index, seed_sequence in group:
-            trial_factory = RngFactory(seed_sequence)
-            world_rng = trial_factory.spawn_generator()
-            honest_rngs.append(trial_factory.spawn_generator())
-            adversary_rngs.append(trial_factory.spawn_generator())
-            fault_rng = trial_factory.spawn_generator()  # the pinned fault/spare stream
-            injectors.append(
-                FaultInjector(fault_plan, fault_rng)
-                if wants_faults and fault_plan is not None
-                else None
-            )
-            instances.append(make_instance(world_rng))
-        faults = (
-            BatchedFaultInjector(injectors) if wants_faults else None
-        )
-        strategy = batched_strategy_for(make_strategy, len(group))
-        adversary = batched_adversary_for(make_adversary, len(group))
-        ctxs = [
-            make_context(instance) if make_context is not None else None
-            for instance in instances
-        ]
-        engine = BatchedEngine(
-            instances,
-            strategy,
-            adversary=adversary,
-            rngs=honest_rngs,
-            adversary_rngs=adversary_rngs,
-            config=config,
-            ctxs=ctxs,
-            faults=faults,
-            obs=obs,
-            substrate=substrate,
-        )
-        metrics = engine.run()
-    if obs is not None:
-        obs.counter("trial.completed").add(len(group))
-        obs.counter("trial.batched").add(len(group))
-    return [
-        (
-            index,
-            (
-                lane_metrics.summary(),
-                lane_metrics.strategy_info,
-                lane_metrics if keep_metrics else None,
-            ),
-        )
-        for (index, _seed), lane_metrics in zip(group, metrics)
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -525,6 +449,29 @@ class GridCell:
     label: Optional[str] = None
 
 
+def _lane_adversary(
+    makers: Sequence[AdversaryFactory],
+) -> Optional["BatchedAdversary"]:
+    """One scalar adversary per lane behind :class:`PerLaneAdversary`.
+
+    A group whose lanes share one factory uses the adversary's own
+    ``make_batched`` twin when its class defines one (the split-vote
+    slot allocator); a subclass never inherits its parent's twin, so it
+    runs its own scalar instances. All-``None`` lanes mean no adversary.
+    """
+    from repro.adversaries.batched import PerLaneAdversary
+
+    template = makers[0]()
+    make_batched = vars(type(template)).get("make_batched")
+    if make_batched is not None and all(make is makers[0] for make in makers):
+        twin: "BatchedAdversary" = make_batched(template, len(makers))
+        return twin
+    adversaries = [template] + [make() for make in makers[1:]]
+    if all(adversary is None for adversary in adversaries):
+        return None
+    return PerLaneAdversary(adversaries)
+
+
 def _execute_grid_group(
     group: Sequence[Tuple[int, int, np.random.SeedSequence]],
     cells: Sequence[GridCell],
@@ -534,23 +481,23 @@ def _execute_grid_group(
     substrate: Optional[str],
     obs: Optional[Registry],
 ) -> List[_TrialRecord]:
-    """Run one mixed-cell lane group through a single :class:`BatchedEngine`.
+    """Run one lane group through a single :class:`BatchedEngine`.
 
-    ``group`` holds ``(cell index, trial index, seed sequence)`` units.
-    Each lane spawns its four pinned streams from its own trial's seed
-    sequence and builds its state from its *own cell's* factories, so a
-    lane is bit-identical to the same trial run by that cell's standalone
-    ``run_trials``. When every lane comes from factories of the same cell
-    the native batched strategy/adversary implementations are used;
-    mixed-cell groups run per-lane scalar instances (always correct — the
-    equivalence contract does not depend on which adapter serves a lane).
+    ``group`` holds ``(cell index, trial index, seed sequence)`` units;
+    ``run_trials`` lane groups arrive here as one-cell groups. Each lane
+    spawns its four pinned streams — world, honest coins, adversary
+    coins, faults, in :func:`_execute_trial`'s order — from its own
+    trial's seed sequence and builds its state from its *own cell's*
+    factories: one scalar strategy instance per lane, one scalar
+    adversary per lane (see :func:`_lane_adversary`), and one scalar
+    :class:`FaultInjector` per faulted lane. A lane is therefore
+    bit-identical to the same trial run by that cell's standalone scalar
+    ``run_trials``. The wall-clock deadline scales with the group:
+    ``timeout`` is a per-trial budget and a group advances
+    ``len(group)`` trials.
     """
-    from repro.adversaries.batched import (
-        MixedLaneAdversary,
-        batched_adversary_for,
-    )
     from repro.faults.batched import BatchedFaultInjector
-    from repro.strategies.batched import PerLaneStrategy, batched_strategy_for
+    from repro.strategies.batched import PerLaneStrategy
 
     budget = timeout * len(group) if timeout is not None else None
     with _trial_deadline(budget):
@@ -578,22 +525,12 @@ def _execute_grid_group(
             else None
         )
 
-        strategy_makers = [cell.make_strategy for cell in lane_cells]
-        if all(maker is strategy_makers[0] for maker in strategy_makers):
-            strategy = batched_strategy_for(strategy_makers[0], len(group))
-        else:
-            strategy = PerLaneStrategy([maker() for maker in strategy_makers])
-
-        adversary_makers = [cell.make_adversary for cell in lane_cells]
-        if all(maker is adversary_makers[0] for maker in adversary_makers):
-            adversary = batched_adversary_for(adversary_makers[0], len(group))
-        else:
-            per_lane = [maker() for maker in adversary_makers]
-            adversary = (
-                MixedLaneAdversary(per_lane)
-                if any(a is not None for a in per_lane)
-                else None
-            )
+        strategy = PerLaneStrategy(
+            [cell.make_strategy() for cell in lane_cells]
+        )
+        adversary = _lane_adversary(
+            [cell.make_adversary for cell in lane_cells]
+        )
 
         ctxs = [
             cell.make_context(instance)

@@ -7,11 +7,7 @@ Concrete protocols live in :mod:`repro.core` (the paper's contribution) and
 """
 
 from repro.strategies.base import Strategy, StrategyContext
-from repro.strategies.batched import (
-    BatchedStrategy,
-    PerLaneStrategy,
-    batched_strategy_for,
-)
+from repro.strategies.batched import BatchedStrategy, PerLaneStrategy
 from repro.strategies.probe_advice import AdviceAlternator
 
 __all__ = [
@@ -20,5 +16,4 @@ __all__ = [
     "PerLaneStrategy",
     "Strategy",
     "StrategyContext",
-    "batched_strategy_for",
 ]

@@ -9,15 +9,14 @@ questions for every live lane at once.
 Equivalence contract: for each lane ``k``, the sequence of draws taken
 from ``rngs[k]`` and the probes/votes/halts produced must be exactly what
 a fresh scalar strategy would produce given the same context, rng stream,
-and billboard history. Native implementations (DISTILL, the baselines)
-achieve this by reusing the very same helper code per lane; anything else
-is wrapped in :class:`PerLaneStrategy`, which simply runs one scalar
-strategy instance per lane — always correct, never fast.
+and billboard history. Every strategy meets it the same way: the runner
+wraps one scalar instance per lane in :class:`PerLaneStrategy`, so a lane
+runs the scalar code itself and a subclass's overrides always apply.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -89,12 +88,11 @@ class BatchedStrategy:
 class PerLaneStrategy(BatchedStrategy):
     """Adapter: run one scalar :class:`Strategy` instance per lane.
 
-    This is the automatic fallback that makes *every* scalar strategy
-    batchable: each lane gets its own instance, reset with its own
-    context and rng stream, so the draw sequences are trivially identical
-    to the scalar engine's. There is no cross-lane vectorization — the
-    win is limited to the engine's shared round loop and the columnar
-    billboard substrate.
+    This is how every strategy runs in lanes: each lane gets its own
+    instance, reset with its own context and rng stream, so the draw
+    sequences are trivially identical to the scalar engine's. There is
+    no cross-lane vectorization — the win is the engine's shared round
+    loop and the columnar billboard substrate.
     """
 
     def __init__(self, strategies: Sequence[Strategy]) -> None:
@@ -146,21 +144,3 @@ class PerLaneStrategy(BatchedStrategy):
 
     def info(self, lane: int) -> Dict[str, Any]:
         return self._strategies[lane].info()
-
-
-def batched_strategy_for(
-    make_strategy: Callable[[], Strategy], n_lanes: int
-) -> BatchedStrategy:
-    """Build the batched counterpart of a scalar strategy factory.
-
-    Scalar strategies that know how to batch themselves natively expose
-    ``make_batched(n_lanes)``; everything else gets one instance per lane
-    behind :class:`PerLaneStrategy`.
-    """
-    template = make_strategy()
-    maker = getattr(template, "make_batched", None)
-    if maker is not None:
-        return maker(n_lanes)
-    return PerLaneStrategy(
-        [template] + [make_strategy() for _ in range(n_lanes - 1)]
-    )

@@ -11,12 +11,7 @@ hook) actually fail the CLI gate with exit code 1.
 
 import textwrap
 
-from repro.lint import (
-    compare_to_baseline,
-    lint_project,
-    load_baseline,
-    write_baseline,
-)
+from repro.lint import lint_project
 from repro.lint.cli import main
 
 
@@ -144,30 +139,6 @@ class TestStreamFlow:
             select=["RPL011"],
         )
         assert violations == []
-
-    def test_baseline_round_trip(self, tmp_path, monkeypatch):
-        violations = run_lint(
-            tmp_path,
-            monkeypatch,
-            {
-                "pkg/run.py": """\
-                import numpy as np
-
-                def run(seed):
-                    a, b = np.random.SeedSequence(seed).spawn(3)
-                    return a, b
-                """
-            },
-            select=["RPL011"],
-        )
-        assert len(violations) == 1
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(str(baseline_file), violations)
-        drift = compare_to_baseline(
-            violations, load_baseline(str(baseline_file))
-        )
-        assert drift.clean
-        assert drift.suppressed == 1
 
 
 KNOB_CONFIG = """\
@@ -586,7 +557,7 @@ class TestGateHasTeethProjectRules:
             },
         )
         monkeypatch.chdir(tmp_path)
-        code = main(["pkg", "--no-baseline", "--no-cache"])
+        code = main(["pkg", "--no-cache"])
         out = capsys.readouterr().out
         assert code == 1
         assert "RPL013" in out
@@ -608,7 +579,7 @@ class TestGateHasTeethProjectRules:
             },
         )
         monkeypatch.chdir(tmp_path)
-        code = main(["pkg", "--no-baseline", "--no-cache"])
+        code = main(["pkg", "--no-cache"])
         out = capsys.readouterr().out
         assert code == 1
         assert "RPL014" in out

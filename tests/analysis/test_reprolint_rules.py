@@ -366,8 +366,8 @@ class TestRPL010DensePlayerAllocation:
 class TestInfrastructure:
     def test_every_rule_has_fixture_coverage(self):
         # this module keeps one test class per per-file rule code; the
-        # cross-file families are covered (positive + negative + noqa +
-        # baseline) in test_reprolint_project.py
+        # cross-file families are covered (positive + negative + noqa)
+        # in test_reprolint_project.py
         per_file = {
             "RPL001", "RPL002", "RPL003", "RPL004", "RPL005",
             "RPL006", "RPL007", "RPL008", "RPL009", "RPL010",

@@ -1,12 +1,10 @@
 """The pytest-collected determinism-contract gate.
 
 This is the check CI and local runs share: the repo's own ``src`` and
-``tests`` trees must lint clean — and since the historical debt was paid
-down to zero, clean means *entry-free*, with no committed baseline file
-at all. It also pins the gate's teeth — a seeded violation (the
-historical ``args.seed + 1`` bug) must fail, and fixing baselined debt
-without updating the baseline must fail too (the shrink has to be
-committed).
+``tests`` trees must lint clean — zero violations, since a violation is
+either fixed or carries a reasoned inline noqa. It also pins the gate's
+teeth: a seeded violation (the historical ``args.seed + 1`` bug) must
+fail.
 """
 
 import json
@@ -14,19 +12,12 @@ import os
 import subprocess
 import sys
 
-from repro.lint import (
-    compare_to_baseline,
-    lint_paths,
-    lint_project,
-    write_baseline,
-)
-from repro.lint.baseline import Baseline
-from repro.lint.cli import DEFAULT_BASELINE, main
+from repro.lint import lint_paths, lint_project
+from repro.lint.cli import main
 
 ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), os.pardir, os.pardir)
 )
-BASELINE = os.path.join(ROOT, DEFAULT_BASELINE)
 
 
 def repo_paths():
@@ -35,20 +26,15 @@ def repo_paths():
 
 class TestRepoIsClean:
     def test_repo_lints_entry_free(self):
-        # every historical baseline entry has been paid down; the tree
-        # must lint clean with NO baseline at all
         cwd = os.getcwd()
         os.chdir(ROOT)
         try:
-            drift = compare_to_baseline(
-                lint_paths(["src", "tests"]), Baseline()
-            )
+            violations = lint_paths(["src", "tests"])
         finally:
             os.chdir(cwd)
-        assert not drift.new, "new determinism-contract violations:\n" + (
-            "\n".join(v.render() for v in drift.new)
+        assert not violations, "determinism-contract violations:\n" + (
+            "\n".join(v.render() for v in violations)
         )
-        assert drift.suppressed == 0
 
     def test_repo_clean_under_project_rules(self):
         # the cross-file families (RPL011-RPL014) must hold repo-wide,
@@ -89,8 +75,7 @@ class TestGateHasTeeth:
         )
         violations = lint_paths([str(bad)])
         assert [v.code for v in violations] == ["RPL004", "RPL004"]
-        drift = compare_to_baseline(violations, Baseline())
-        assert len(drift.new) == 2
+        assert main([str(bad)]) == 1
 
     def test_cli_exit_codes(self, tmp_path, capsys):
         clean = tmp_path / "clean.py"
@@ -99,32 +84,10 @@ class TestGateHasTeeth:
         dirty.write_text(
             "import numpy as np\nrng = np.random.default_rng()\n"
         )
-        assert main([str(clean), "--no-baseline"]) == 0
-        assert main([str(dirty), "--no-baseline"]) == 1
+        assert main([str(clean)]) == 0
+        assert main([str(dirty)]) == 1
         assert main(["--list-rules"]) == 0
         assert main([str(tmp_path / "missing.py")]) == 2
-        capsys.readouterr()
-
-    def test_stale_baseline_fails_until_regenerated(self, tmp_path, capsys):
-        dirty = tmp_path / "module.py"
-        dirty.write_text(
-            "import numpy as np\nrng = np.random.default_rng()\n"
-        )
-        baseline = tmp_path / "baseline.json"
-        write_baseline(str(baseline), lint_paths([str(dirty)]))
-
-        # baselined: the violation is inventoried, the gate passes
-        assert main([str(dirty), "--baseline", str(baseline)]) == 0
-
-        # debt paid but ledger not updated: the gate must fail
-        dirty.write_text("import numpy as np\nrng = np.random.default_rng(3)\n")
-        assert main([str(dirty), "--baseline", str(baseline)]) == 1
-        out = capsys.readouterr().out
-        assert "stale baseline" in out
-
-        # regenerating the baseline commits the shrink
-        write_baseline(str(baseline), lint_paths([str(dirty)]))
-        assert main([str(dirty), "--baseline", str(baseline)]) == 0
         capsys.readouterr()
 
     def test_json_report_shape(self, tmp_path, capsys):
@@ -132,7 +95,7 @@ class TestGateHasTeeth:
         dirty.write_text(
             "import numpy as np\nrng = np.random.default_rng()\n"
         )
-        code = main([str(dirty), "--no-baseline", "--format", "json"])
+        code = main([str(dirty), "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 1
         assert payload["tool"] == "reprolint"
@@ -159,30 +122,3 @@ class TestGateHasTeeth:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "clean" in proc.stdout
-
-
-class TestBaselineRetired:
-    """The committed baseline shrank to zero and was deleted.
-
-    New violations must be *fixed* (or carry a reasoned inline noqa),
-    not baselined; reintroducing the file means new debt slipped in.
-    """
-
-    def test_no_baseline_file_is_committed(self):
-        assert not os.path.exists(BASELINE), (
-            "reprolint-baseline.json reappeared — fix the violations "
-            "instead of inventorying new debt"
-        )
-
-    def test_cli_discovers_absence_gracefully(self, tmp_path, capsys):
-        # running from a directory with no baseline file must behave
-        # exactly like --no-baseline, not error out
-        clean = tmp_path / "clean.py"
-        clean.write_text("import numpy as np\n")
-        cwd = os.getcwd()
-        os.chdir(tmp_path)
-        try:
-            assert main([str(clean)]) == 0
-        finally:
-            os.chdir(cwd)
-        capsys.readouterr()

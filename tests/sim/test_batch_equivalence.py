@@ -14,6 +14,8 @@ tests, so the contract cannot silently rot.
 """
 
 import warnings
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,7 +29,11 @@ from repro.baselines.full_cooperation import FullCooperationStrategy
 from repro.baselines.trivial import TrivialStrategy
 from repro.billboard.votes import VoteMode
 from repro.core.distill import DistillStrategy
+from repro.core.distill_hp import DistillHPStrategy
+from repro.core.multivote import MultiVoteDistill
 from repro.errors import ConfigurationError
+from repro.extensions.no_advice import NoAdviceDistill
+from repro.extensions.slander import SlanderAdversary, SlanderingDistill
 from repro.faults.plan import FaultPlan
 from repro.sim.engine import EngineConfig
 from repro.sim.runner import GridCell, run_trial_grid, run_trials
@@ -521,9 +527,54 @@ class TestSeedProperty:
         assert_results_identical(scalar, batched)
 
 
+class QuietStep11SplitVote(SplitVoteAdversary):
+    """Split-vote that skips the Step 1.1 dilution: a subclass that
+    changes one attack step must run that step on lanes too, not its
+    parent's vectorized twin."""
+
+    def _attack_step11(self):
+        return []
+
+
+#: subclasses of classes with (or that once had) a lane twin; each must
+#: run its own overrides on lanes: (strategy, adversary, config)
+SUBCLASS_CASES = {
+    "no-advice": (NoAdviceDistill, SplitVoteAdversary, _config("single")),
+    "slander": (
+        SlanderingDistill,
+        SlanderAdversary,
+        # the smear suppresses the good objects for good (experiment
+        # A1), so the run ends at a round cap, as A1's does
+        replace(
+            _config("single"), record_reports=True, max_rounds=256,
+            strict=False,
+        ),
+    ),
+    "multi-vote": (
+        partial(MultiVoteDistill, f=2, error_rate=0.2),
+        SplitVoteAdversary,
+        _config("multi"),
+    ),
+    "distill-hp": (DistillHPStrategy, SplitVoteAdversary, _config("single")),
+    "split-vote-subclass": (
+        DistillStrategy, QuietStep11SplitVote, _config("single")
+    ),
+}
+
+
 class TestAdapterLanes:
-    """Strategies/adversaries without a native batched form go through the
-    per-lane adapters — still bit-identical, just not vectorized."""
+    """Every strategy and adversary runs in lanes as one scalar instance
+    per lane — bit-identical, subclass overrides included."""
+
+    @pytest.mark.parametrize("case", sorted(SUBCLASS_CASES))
+    def test_subclass_runs_its_own_code_on_lanes(self, case):
+        make_strategy, make_adversary, config = SUBCLASS_CASES[case]
+        scalar = _run(make_strategy, make_adversary, config)
+        batched = _run(make_strategy, make_adversary, config, batch_lanes=4)
+        assert_results_identical(scalar, batched)
+        assert {info["algorithm"] for info in batched.strategy_infos} == {
+            make_strategy().name
+        }
 
     def test_full_cooperation_native_batched(self):
         config = _config("single")
