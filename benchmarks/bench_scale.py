@@ -22,8 +22,8 @@ extrapolation — is asserted by the pytest entry and by the CI
 Cells that both substrates run (the overlap of the dense and sparse
 sweeps) must produce bit-identical run digests: the substrate knob is
 bit-inert, and this benchmark re-proves it at scale on every run. Each
-cell also snapshots its ``substrate.*`` observability counters; any
-``substrate.fallback`` is a hard failure.
+cell also snapshots its ``substrate.*`` observability counters and must
+resolve to the substrate it asked for.
 
 Run directly (``python benchmarks/bench_scale.py``) or through pytest
 (``pytest benchmarks/bench_scale.py``). ``REPRO_BENCH_SCALE=smoke``
@@ -217,11 +217,6 @@ def main() -> Dict[str, object]:
         )
 
     for cell in dense_cells + sparse_cells:
-        fallbacks = cell["substrate_counters"].get("substrate.fallback", 0)
-        assert fallbacks == 0, (
-            f"cell n={cell['n']} {cell['substrate']} fell back: "
-            f"{cell['substrate_counters']}"
-        )
         assert cell["resolved_substrate"] == cell["substrate"], cell
 
     # bit-identity on every overlapping cell: the substrate knob must

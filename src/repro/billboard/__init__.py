@@ -9,29 +9,31 @@ The components are:
 
 * :class:`~repro.billboard.post.Post` — one immutable billboard entry.
 * :class:`~repro.billboard.board.Billboard` — the append-only log with
-  integrity enforcement.
+  integrity enforcement (the scalar engine's dense substrate).
+* :class:`~repro.billboard.columnar.ColumnarBoard` — the same log as
+  numpy columns, without the hash chain: every batched lane and the
+  sparse substrate.
 * :class:`~repro.billboard.votes.VoteLedger` — the *reader-side* vote
   accounting: one vote per player (Figure 1), or the first ``f`` votes
   (Section 4.1), or the mutable best-so-far vote (Section 5.3).
 * :class:`~repro.billboard.views.BillboardView` — the read-only window a
   player or adversary is handed during a round.
-* :class:`~repro.billboard.sparse.SparseBoard` /
-  :class:`~repro.billboard.sparse.SparseVoteLedger` — the sparse columnar
-  substrate for population-scale worlds (``substrate="sparse"``), bit-
-  identical to the dense board/ledger for every query.
+* :class:`~repro.billboard.sparse.SparseVoteLedger` — the object-sharded
+  ledger of the sparse substrate for population-scale worlds
+  (``substrate="sparse"``), bit-identical to the dense ledger for every
+  query.
 """
 
 from repro.billboard.board import Billboard
-from repro.billboard.lanes import LaneBillboard, LaneBoard
+from repro.billboard.columnar import ColumnarBoard
+from repro.billboard.lanes import LaneBillboard
 from repro.billboard.post import Post, PostKind
 from repro.billboard.sparse import (
     SPARSE_AUTO_THRESHOLD,
     SUBSTRATE_CHOICES,
-    SparseBoard,
     SparseVoteLedger,
     choose_substrate,
     normalize_substrate,
-    substrate_fallback_reason,
 )
 from repro.billboard.views import BillboardView
 from repro.billboard.votes import VoteLedger, VoteMode
@@ -39,17 +41,15 @@ from repro.billboard.votes import VoteLedger, VoteMode
 __all__ = [
     "Billboard",
     "BillboardView",
+    "ColumnarBoard",
     "LaneBillboard",
-    "LaneBoard",
     "Post",
     "PostKind",
     "SPARSE_AUTO_THRESHOLD",
     "SUBSTRATE_CHOICES",
-    "SparseBoard",
     "SparseVoteLedger",
     "VoteLedger",
     "VoteMode",
     "choose_substrate",
     "normalize_substrate",
-    "substrate_fallback_reason",
 ]

@@ -18,7 +18,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.billboard.board import Billboard
+from repro.billboard.columnar import AnyBoard
 from repro.billboard.post import Post, PostKind
 
 
@@ -41,7 +41,7 @@ class BillboardView:
 
     __slots__ = ("_board", "before_round")
 
-    def __init__(self, board: Billboard, before_round: Optional[int] = None) -> None:
+    def __init__(self, board: AnyBoard, before_round: Optional[int] = None) -> None:
         self._board = board
         self.before_round = before_round
 
@@ -131,7 +131,7 @@ class SnapshotView(BillboardView):
 
     __slots__ = ()
 
-    def __init__(self, board: Billboard, epoch: int) -> None:
+    def __init__(self, board: AnyBoard, epoch: int) -> None:
         if epoch < 0:
             raise ValueError(f"epoch must be non-negative, got {epoch}")
         super().__init__(board, before_round=epoch)

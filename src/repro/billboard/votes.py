@@ -44,7 +44,7 @@ class _IntColumn:
     players, objects) so that every query is a vectorized slice instead of
     a Python walk. :meth:`view` returns a zero-copy window onto the filled
     prefix; callers must not mutate it. The default ``int64`` matches the
-    dense ledger's arithmetic; the sparse substrate passes narrower
+    dense ledger's arithmetic; the columnar board passes narrower
     dtypes (``int32`` ids, ``float64`` values, ``int8`` kinds) to keep
     million-post logs compact.
     """

@@ -18,7 +18,7 @@ application*: crashes and restarts land on the engine's ``(K, n)``
 fancy-indexed scatters across all lanes, and post filtering stays
 array-native end to end
 (:meth:`~repro.faults.injector.FaultInjector.filter_post_arrays` into
-:meth:`~repro.billboard.lanes.LaneBoard.post_block`).
+:meth:`~repro.billboard.columnar.ColumnarBoard.post_block`).
 
 Because each lane carries its own injector, lanes of one batch may run
 *different* fault plans — the substrate for grid lanes, where one round
@@ -143,7 +143,7 @@ class BatchedFaultInjector:
                 continue
             due = injector.due_posts(round_no)
             if due:
-                boards.lane(int(k)).post_entries(round_no, due)
+                boards.lane(int(k)).append_many(round_no, due)
         due_mask = down_until == round_no
         due_mask[~alive, :] = False
         if not due_mask.any():

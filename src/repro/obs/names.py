@@ -76,7 +76,6 @@ DECLARED_COUNTERS: FrozenSet[str] = frozenset(
         "serve.ticks",
         "serve.votes",
         "substrate.dense",
-        "substrate.fallback",
         "substrate.sparse",
         "trial.batched",
         "trial.completed",

@@ -27,19 +27,16 @@ by score descending with object id as the deterministic tie-break.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.billboard.board import Billboard
-from repro.billboard.sparse import SparseBoard
+from repro.billboard.columnar import AnyBoard
 from repro.billboard.views import SnapshotView
 from repro.core.parameters import DistillParameters
 from repro.core.tracker import DistillPhaseTracker
 from repro.errors import ConfigurationError
 from repro.strategies.base import StrategyContext
-
-AnyBoard = Union[Billboard, SparseBoard]
 
 
 class OnlineDistillRecommender:

@@ -4,7 +4,7 @@ The simulator turned inside-out: instead of an engine driving rounds
 over a private board, a long-lived service accepts concurrent
 post/vote/query traffic over TCP against one live billboard
 (:class:`~repro.billboard.board.Billboard` or
-:class:`~repro.billboard.sparse.SparseBoard`, per the substrate knob)
+:class:`~repro.billboard.columnar.ColumnarBoard`, per the substrate knob)
 and serves reads from epoch-pinned
 :class:`~repro.billboard.views.SnapshotView`\\ s.
 
@@ -60,8 +60,9 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.billboard.board import Billboard, Entry
+from repro.billboard.columnar import AnyBoard, ColumnarBoard
 from repro.billboard.post import PostKind
-from repro.billboard.sparse import SparseBoard, choose_substrate
+from repro.billboard.sparse import choose_substrate
 from repro.billboard.views import SnapshotView
 from repro.errors import ConfigurationError
 from repro.exec.protocol import (
@@ -95,8 +96,11 @@ class BillboardService:
     ) -> None:
         self.config = config
         self.substrate = choose_substrate(config.substrate, config.n_players)
-        board_cls = SparseBoard if self.substrate == "sparse" else Billboard
-        self.board = board_cls(config.n_players, config.n_objects)
+        self.board: AnyBoard = (
+            ColumnarBoard(config.n_players, config.n_objects, substrate="sparse")
+            if self.substrate == "sparse"
+            else Billboard(config.n_players, config.n_objects)
+        )
         #: the current epoch; posts are stamped with it, readers see < it
         self.epoch = 0
         self._pending: List[Entry] = []

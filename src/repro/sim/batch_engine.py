@@ -13,7 +13,7 @@ it once per *batch*, advancing ``K`` trials — *lanes* — in lockstep:
   so each lane's randomness is bit-identical to a scalar run of that
   trial;
 * each lane has its own columnar billboard
-  (:class:`~repro.billboard.lanes.LaneBoard`) sharing the scalar
+  (:class:`~repro.billboard.columnar.ColumnarBoard`) sharing the scalar
   ledger's effectiveness rules as code;
 * finished lanes are masked out, not removed — remaining lanes keep
   their indices, and the loop ends when every lane is done.
@@ -501,7 +501,7 @@ class BatchedEngine:
                     action.kind,
                 )
             )
-        board.post_entries(round_no, entries)
+        board.append_many(round_no, entries)
 
     def _lane_metrics(
         self,

@@ -33,12 +33,9 @@ from typing import TYPE_CHECKING, Dict, Optional
 import numpy as np
 
 from repro.billboard.board import Billboard
+from repro.billboard.columnar import AnyBoard, ColumnarBoard
 from repro.billboard.post import PostKind
-from repro.billboard.sparse import (
-    SparseBoard,
-    choose_substrate,
-    substrate_fallback_reason,
-)
+from repro.billboard.sparse import choose_substrate
 from repro.billboard.views import BillboardView
 from repro.billboard.votes import VoteMode
 from repro.errors import (
@@ -126,13 +123,12 @@ class SynchronousEngine:
         are bit-identical either way.
     substrate:
         Billboard storage selection: ``"dense"`` (the chained
-        :class:`Billboard`), ``"sparse"`` (the columnar
-        :class:`~repro.billboard.sparse.SparseBoard`), or
-        ``"auto"``/``None`` (sparse at or above
-        :data:`~repro.billboard.sparse.SPARSE_AUTO_THRESHOLD` players).
-        Bit-inert: results are identical either way. Trace runs audit
-        the hash-chained dense board, so a sparse request degrades to
-        dense there (recorded in ``substrate.fallback``).
+        :class:`Billboard` and its dense ledger), ``"sparse"`` (the
+        :class:`~repro.billboard.columnar.ColumnarBoard` and its
+        object-sharded ledger), or ``"auto"``/``None`` (sparse at or
+        above :data:`~repro.billboard.sparse.SPARSE_AUTO_THRESHOLD`
+        players). Bit-inert: results, and structured traces, are
+        identical either way.
     """
 
     def __init__(
@@ -171,28 +167,14 @@ class SynchronousEngine:
             beta=instance.beta,
             good_threshold=instance.space.good_threshold,
         )
-        resolved = choose_substrate(substrate, instance.n)
-        self.substrate_fallback: Optional[str] = None
-        if resolved == "sparse":
-            reason = substrate_fallback_reason(self.config)
-            if reason is not None:
-                self.substrate_fallback = reason
-                resolved = "dense"
-        self.substrate = resolved
-        if resolved == "sparse":
-            self.board: "Billboard | SparseBoard" = SparseBoard(
-                instance.n,
-                instance.m,
-                vote_mode=self.config.vote_mode,
-                max_votes_per_player=self.config.max_votes_per_player,
-            )
-        else:
-            self.board = Billboard(
-                instance.n,
-                instance.m,
-                vote_mode=self.config.vote_mode,
-                max_votes_per_player=self.config.max_votes_per_player,
-            )
+        self.substrate = choose_substrate(substrate, instance.n)
+        board_args = (instance.n, instance.m, self.config.vote_mode,
+                      self.config.max_votes_per_player)
+        self.board: AnyBoard = (
+            ColumnarBoard(*board_args, substrate="sparse")
+            if self.substrate == "sparse"
+            else Billboard(*board_args)
+        )
         self.fault_injector = fault_injector
         self.obs = obs
         #: populated when ``config.trace`` is on
@@ -243,8 +225,6 @@ class SynchronousEngine:
         obs = self.obs
         if obs is not None:
             obs.counter(f"substrate.{self.substrate}").add(1)
-            if self.substrate_fallback is not None:
-                obs.counter("substrate.fallback").add(1)
             count_round = obs.counter("engine.rounds").add
             count_probes = obs.counter("engine.probes").add
             count_votes = obs.counter("engine.votes").add

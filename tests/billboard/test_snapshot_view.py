@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.billboard.board import Billboard
+from repro.billboard.columnar import ColumnarBoard
 from repro.billboard.post import PostKind
-from repro.billboard.sparse import SparseBoard
 from repro.billboard.views import BillboardView, SnapshotView
 
 N_PLAYERS = 8
@@ -55,7 +55,7 @@ class TestSnapshotViewBasics:
         assert view.before_round == 5
 
     def test_works_on_sparse_substrate(self):
-        board = SparseBoard(N_PLAYERS, N_OBJECTS)
+        board = ColumnarBoard(N_PLAYERS, N_OBJECTS, substrate="sparse")
         board.append_many(0, _batch([(0, 1)]))
         view = SnapshotView(board, epoch=1)
         assert view.cumulative_vote_counts()[1] == 1

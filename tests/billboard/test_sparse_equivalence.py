@@ -7,10 +7,11 @@ engines, and faulted cells alike, a sparse run's
 arrays, rounds, ``fault_info``, everything — are *identical* to the
 dense run of the same seed. This module is that promise's enforcement:
 a pinned grid over vote modes × {scalar, batched K=8} × {clean, faulted
-E15-style churn cell}, the auto-threshold contract, the structured-trace
-fallback audit, and the ``substrate.*`` observability counters.
+E15-style churn cell}, the auto-threshold contract, traced runs keeping
+their substrate, and the ``substrate.*`` observability counters.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -18,12 +19,13 @@ import pytest
 
 from repro.adversaries.silent import SilentAdversary
 from repro.adversaries.split_vote import SplitVoteAdversary
-from repro.billboard.sparse import SPARSE_AUTO_THRESHOLD
+from repro.billboard.sparse import SPARSE_AUTO_THRESHOLD, SparseVoteLedger
 from repro.billboard.votes import VoteMode
 from repro.core.distill import DistillStrategy
 from repro.faults.plan import FaultPlan
 from repro.obs.registry import Registry
 from repro.sim.engine import EngineConfig, SynchronousEngine
+from repro.sim.metrics import RunMetrics
 from repro.sim.runner import run_trials
 from repro.world.generators import planted_instance
 
@@ -132,7 +134,9 @@ class TestGoldenGrid:
 class TestSubstrateResolution:
     """Engine-level knob resolution, fallbacks, and observability."""
 
-    def _engine(self, n=12, substrate=None, config=None, obs=None):
+    def _engine(
+        self, n=12, substrate=None, config=None, obs=None, adversary=None
+    ):
         rng = np.random.default_rng(np.random.SeedSequence(5))
         instance = planted_instance(
             n=n, m=8, beta=0.25, alpha=0.75,
@@ -141,7 +145,7 @@ class TestSubstrateResolution:
         return SynchronousEngine(
             instance,
             DistillStrategy(),
-            adversary=SilentAdversary(),
+            adversary=adversary if adversary is not None else SilentAdversary(),
             rng=rng,
             adversary_rng=np.random.default_rng(np.random.SeedSequence(7)),
             config=config,
@@ -154,31 +158,43 @@ class TestSubstrateResolution:
         assert self._engine(substrate="sparse").substrate == "sparse"
         assert SPARSE_AUTO_THRESHOLD > 12  # the fixture stays dense
 
-    def test_traces_degrade_sparse_to_dense_with_audit(self):
-        engine = self._engine(
-            substrate="sparse", config=EngineConfig(trace=True)
-        )
-        assert engine.substrate == "dense"
-        assert engine.substrate_fallback is not None
-        clean = self._engine(substrate="sparse")
-        assert clean.substrate == "sparse"
-        assert clean.substrate_fallback is None
+    def test_traced_sparse_run_keeps_its_board(self):
+        """Structured tracing runs on the substrate it asked for: the
+        traced sparse run keeps its columnar board and sparse ledger,
+        and its metrics and trace events equal the traced dense run's."""
+        runs = {}
+        for substrate in ("dense", "sparse"):
+            obs = Registry()
+            engine = self._engine(
+                n=32,
+                substrate=substrate,
+                config=EngineConfig(trace=True, record_reports=True),
+                obs=obs,
+                adversary=SplitVoteAdversary(),
+            )
+            runs[substrate] = engine.run()
+            assert engine.substrate == substrate
+            counters = obs.snapshot()["counters"]
+            assert counters.get(f"substrate.{substrate}") == 1, counters
+        assert isinstance(engine.board.ledger, SparseVoteLedger)
+        dense, sparse = runs["dense"], runs["sparse"]
+        kinds = dense.trace.counts()
+        assert kinds.get("vote", 0) > 0 and kinds.get("adversary", 0) > 0
+        assert [e.to_json() for e in sparse.trace] == [
+            e.to_json() for e in dense.trace
+        ]
+        for field in dataclasses.fields(RunMetrics):
+            if field.name != "trace":
+                assert np.array_equal(
+                    getattr(dense, field.name), getattr(sparse, field.name)
+                ), field.name
 
     def test_substrate_counters_are_recorded(self):
         obs = Registry()
         self._engine(substrate="sparse", obs=obs).run()
         counters = obs.snapshot()["counters"]
         assert counters.get("substrate.sparse") == 1
-        assert "substrate.fallback" not in counters
-
-    def test_fallback_counter_on_traced_sparse_run(self):
-        obs = Registry()
-        self._engine(
-            substrate="sparse", config=EngineConfig(trace=True), obs=obs
-        ).run()
-        counters = obs.snapshot()["counters"]
-        assert counters.get("substrate.dense") == 1
-        assert counters.get("substrate.fallback") == 1
+        assert "substrate.dense" not in counters
 
     def test_manifest_records_the_requested_substrate(self):
         res = _run("sparse", "single", None, "clean")

@@ -1,38 +1,45 @@
-"""Unit parity for the sparse columnar substrate.
+"""Unit parity for the sparse ledger and the columnar board.
 
-:class:`~repro.billboard.sparse.SparseVoteLedger` and
-:class:`~repro.billboard.sparse.SparseBoard` promise *bit-identical*
-behaviour to the dense :class:`~repro.billboard.votes.VoteLedger` and
-:class:`~repro.billboard.board.Billboard` for every vote mode and every
-query — the substrate knob must never change a result. This module
-drives both implementations through the same randomized workloads and
-asserts every observable agrees, plus the pinned satellite contracts:
-empty batches are explicit no-ops and column views are read-only.
+:class:`~repro.billboard.sparse.SparseVoteLedger` promises
+*bit-identical* behaviour to the dense
+:class:`~repro.billboard.votes.VoteLedger`, and
+:class:`~repro.billboard.columnar.ColumnarBoard` (on either ledger) to
+:class:`~repro.billboard.board.Billboard`, for every vote mode and every
+query — neither the substrate knob nor the post log's storage may
+change a result. This module drives the implementations through the
+same randomized workloads and asserts every observable agrees, plus the
+pinned satellite contracts: empty batches are explicit no-ops and
+column views are read-only.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
 from repro.billboard.board import Billboard
-from repro.billboard.lanes import LaneBillboard
+from repro.billboard.columnar import ColumnarBoard
 from repro.billboard.post import Post, PostKind
 from repro.billboard.sparse import (
     SPARSE_AUTO_THRESHOLD,
-    SparseBoard,
     SparseVoteLedger,
     choose_substrate,
     normalize_substrate,
-    substrate_fallback_reason,
 )
 from repro.billboard.votes import VoteLedger, VoteMode
-from repro.errors import ConfigurationError, InvalidPostError
-from repro.sim.engine import EngineConfig
+from repro.errors import ConfigurationError, InvalidPostError, ReproError
 
 MODES = {
     "single": (VoteMode.SINGLE, 1),
     "multi": (VoteMode.MULTI, 3),
     "mutable": (VoteMode.MUTABLE, 2),
 }
+
+#: ColumnarBoard's ``substrate`` argument -> the ledger class it builds
+LEDGERS = {"dense": VoteLedger, "sparse": SparseVoteLedger}
+
+#: the columnar board's two batch writes
+WRITE_PATHS = ("append_many", "post_block")
 
 
 def _vote_post(round_no, player, obj):
@@ -132,73 +139,147 @@ class TestLedgerParity:
         assert sum(sparse.shard_sizes()) == sparse.effective_vote_count
 
 
-class TestBoardParity:
-    """SparseBoard ≡ Billboard: posts, reads, errors, hash-free batches."""
+def _write(board, round_no, entries, path):
+    """Append one round's entries through ``path``: one ``append_many``
+    call, or one ``post_block`` call per run of same-kind entries (entry
+    order kept). ``Billboard`` has only ``append_many``."""
+    if path == "append_many" or isinstance(board, Billboard):
+        board.append_many(round_no, entries)
+        return
+    for kind, run in itertools.groupby(entries, key=lambda e: e[3]):
+        run = list(run)
+        board.post_block(
+            round_no,
+            np.array([e[0] for e in run]),
+            np.array([e[1] for e in run]),
+            np.array([e[2] for e in run]),
+            kind,
+        )
 
-    def _boards(self, mode_name="single"):
+
+def _assert_boards_agree(dense, columnar):
+    """Every read of the Billboard API, including list semantics."""
+    assert len(dense) == len(columnar)
+    assert dense.last_round == columnar.last_round
+    for i in range(-len(dense), len(dense)):
+        assert dense[i] == columnar[i], i
+    for i in (len(dense), -len(dense) - 1):
+        with pytest.raises(IndexError):
+            dense[i]
+        with pytest.raises(IndexError):
+            columnar[i]
+    assert list(dense) == list(columnar)
+    horizons = [None, 0, 1, dense.last_round, dense.last_round + 1]
+    for horizon in horizons:
+        for kind in (None, PostKind.VOTE, PostKind.REPORT):
+            assert dense.posts(kind=kind, before_round=horizon) == (
+                columnar.posts(kind=kind, before_round=horizon)
+            ), (kind, horizon)
+        assert dense.vote_posts(horizon) == columnar.vote_posts(horizon)
+        for name in ("current_vote_array", "objects_with_votes"):
+            a = getattr(dense, name)(horizon)
+            b = getattr(columnar, name)(horizon)
+            assert np.array_equal(a, b) and a.dtype == b.dtype, (name, horizon)
+    for player in range(dense.n_players):
+        assert dense.posts(player=player) == columnar.posts(player=player)
+    for start, end in [(0, 1), (0, 50), (2, 5), (3, 3)]:
+        a = dense.counts_in_window(start, end)
+        b = columnar.counts_in_window(start, end)
+        assert np.array_equal(a, b) and a.dtype == b.dtype, (start, end)
+
+
+class TestBoardParity:
+    """Billboard ≡ ColumnarBoard on either ledger, written through
+    ``append_many`` or ``post_block``: posts read back, list semantics,
+    ledger queries, validation errors, and empty batches."""
+
+    def _boards(self, mode_name, substrate, n_players=16, n_objects=8):
         mode, cap = MODES[mode_name]
-        dense = Billboard(16, 8, vote_mode=mode, max_votes_per_player=cap)
-        sparse = SparseBoard(16, 8, vote_mode=mode, max_votes_per_player=cap)
-        return dense, sparse
+        dense = Billboard(
+            n_players, n_objects, vote_mode=mode, max_votes_per_player=cap
+        )
+        columnar = ColumnarBoard(
+            n_players,
+            n_objects,
+            vote_mode=mode,
+            max_votes_per_player=cap,
+            substrate=substrate,
+        )
+        return dense, columnar
 
     @pytest.mark.parametrize("mode_name", sorted(MODES))
     def test_append_paths_agree(self, mode_name):
-        dense, sparse = self._boards(mode_name)
-        rng = np.random.default_rng(7)
-        round_no = 0
-        for _step in range(25):
-            entries = [
-                (
-                    int(rng.integers(16)),
-                    int(rng.integers(8)),
-                    float(rng.random()),
-                    PostKind.VOTE if rng.random() < 0.7 else PostKind.REPORT,
-                )
-                for _ in range(int(rng.integers(0, 4)))
-            ]
-            a = dense.append_many(round_no, entries)
-            b = sparse.append_many(round_no, entries)
-            assert [p.__dict__ for p in a] == [p.__dict__ for p in b]
-            round_no += int(rng.integers(0, 2))
-        assert len(dense) == len(sparse)
-        assert dense.last_round == sparse.last_round
-        for i in range(len(dense)):
-            assert dense[i] == sparse[i]
-        for kind in (None, PostKind.VOTE, PostKind.REPORT):
-            a = dense.posts(kind=kind)
-            b = sparse.posts(kind=kind)
-            assert a == b
-        assert np.array_equal(
-            dense.current_vote_array(), sparse.current_vote_array()
-        )
-        assert np.array_equal(
-            dense.objects_with_votes(), sparse.objects_with_votes()
-        )
+        for substrate, path in itertools.product(LEDGERS, WRITE_PATHS):
+            dense, columnar = self._boards(mode_name, substrate)
+            assert type(columnar.ledger) is LEDGERS[substrate]
+            rng = np.random.default_rng(7)
+            round_no = 0
+            for _step in range(25):
+                entries = [
+                    (
+                        int(rng.integers(16)),
+                        int(rng.integers(8)),
+                        float(rng.random()),
+                        PostKind.VOTE if rng.random() < 0.7 else PostKind.REPORT,
+                    )
+                    for _ in range(int(rng.integers(0, 4)))
+                ]
+                for board in (dense, columnar):
+                    _write(board, round_no, entries, path)
+                round_no += int(rng.integers(0, 2))
+            _assert_boards_agree(dense, columnar)
 
     def test_empty_append_many_is_a_no_op(self):
-        dense, sparse = self._boards()
-        for board in (dense, sparse):
-            assert board.append_many(5, []) == []
-            assert len(board) == 0
-            assert board.last_round == -1
-        # a later batch at an *earlier* round still succeeds: the empty
-        # batch must not have advanced the round clock
-        dense.append_many(2, [(0, 0, 1.0, PostKind.VOTE)])
-        sparse.append_many(2, [(0, 0, 1.0, PostKind.VOTE)])
-        assert dense.last_round == sparse.last_round == 2
+        empty_ids = np.zeros(0, dtype=np.int64)
+        for substrate in LEDGERS:
+            dense, columnar = self._boards("single", substrate)
+            assert dense.append_many(5, []) == []
+            columnar.append_many(5, [])
+            columnar.post_block(
+                5, empty_ids, empty_ids, np.zeros(0), PostKind.VOTE
+            )
+            _assert_boards_agree(dense, columnar)
+            assert len(columnar) == 0 and columnar.last_round == -1
+            # a later batch at an *earlier* round still succeeds: the
+            # empty batch must not have advanced the round clock
+            for board in (dense, columnar):
+                board.append_many(2, [(0, 0, 1.0, PostKind.VOTE)])
+            _assert_boards_agree(dense, columnar)
 
     def test_validation_errors_match_dense(self):
-        dense, sparse = self._boards()
-        for round_no, player, obj in [(0, 16, 0), (0, 0, 8), (-1, 0, 0)]:
-            with pytest.raises(InvalidPostError) as dense_err:
-                dense.append_many(
-                    round_no, [(player, obj, 1.0, PostKind.VOTE)]
-                )
-            with pytest.raises(InvalidPostError) as sparse_err:
-                sparse.append_many(
-                    round_no, [(player, obj, 1.0, PostKind.VOTE)]
-                )
-            assert str(dense_err.value) == str(sparse_err.value)
+        vote = PostKind.VOTE
+        two_bad = [(0, 99, 1.0, vote), (99, 0, 1.0, vote)]
+        cases = [
+            (0, [(8, 0, 1.0, vote)]),
+            (0, [(0, 16, 1.0, vote)]),
+            (-1, [(0, 0, 1.0, vote)]),
+            (1, [(0, 0, 1.0, vote)]),  # before the round already posted
+            # the first bad entry wins, in entry order, and an entry's
+            # player is checked before its object
+            (2, two_bad),
+            (2, [(0, 0, 1.0, vote), (99, 99, 1.0, vote), (0, 99, 1.0, vote)]),
+            # the round checks surface at entry 0 unless its ids fail first
+            (-1, [(0, 0, 1.0, vote), (99, 0, 1.0, vote)]),
+            (-1, [(99, 0, 1.0, vote), (0, 0, 1.0, vote)]),
+        ]
+        for substrate, path in itertools.product(LEDGERS, WRITE_PATHS):
+            dense, columnar = self._boards(
+                "single", substrate, n_players=8, n_objects=16
+            )
+            for board in (dense, columnar):
+                _write(board, 2, [(1, 1, 1.0, vote)], path)
+            for round_no, entries in cases:
+                with pytest.raises(ReproError) as dense_err:
+                    _write(dense, round_no, entries, path)
+                with pytest.raises(ReproError) as columnar_err:
+                    _write(columnar, round_no, entries, path)
+                assert type(dense_err.value) is type(columnar_err.value)
+                assert str(dense_err.value) == str(columnar_err.value)
+                _assert_boards_agree(dense, columnar)  # nothing appended
+            for board in (dense, columnar):
+                with pytest.raises(InvalidPostError) as err:
+                    _write(board, 2, two_bad, path)
+                assert str(err.value) == "unknown object 99 (m=16)"
 
 
 class TestReadOnlyViews:
@@ -212,15 +293,15 @@ class TestReadOnlyViews:
             view[0] = 3
 
     def test_lane_column_view_is_read_only(self):
-        board = LaneBillboard(2, 4, 4)
-        board.lane(0).post_block(
+        board = ColumnarBoard(4, 4)
+        board.post_block(
             0,
             np.array([1]),
             np.array([2]),
             np.array([1.0]),
             PostKind.VOTE,
         )
-        view = board.lane(0)._players.view()
+        view = board._players.view()
         with pytest.raises(ValueError):
             view[0] = 3
 
@@ -250,8 +331,3 @@ class TestSubstrateSelection:
         assert choose_substrate(None, SPARSE_AUTO_THRESHOLD) == "sparse"
         assert choose_substrate("dense", 10**6) == "dense"
         assert choose_substrate("sparse", 2) == "sparse"
-
-    def test_traces_force_the_dense_fallback(self):
-        assert substrate_fallback_reason(EngineConfig()) is None
-        reason = substrate_fallback_reason(EngineConfig(trace=True))
-        assert reason is not None and "trace" in reason

@@ -1,13 +1,15 @@
 """Online incremental DISTILL must be bit-identical to batch DISTILL."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.billboard.board import Billboard
+from repro.billboard.columnar import ColumnarBoard
 from repro.billboard.post import PostKind
-from repro.billboard.sparse import SparseBoard
 from repro.errors import ConfigurationError
 from repro.serve.recommender import (
     OnlineDistillRecommender,
@@ -40,7 +42,11 @@ def _seeded_traffic(board, epochs, seed=0, votes_per_epoch=5):
 
 
 class TestOnlineVsBatch:
-    @pytest.mark.parametrize("board_cls", [Billboard, SparseBoard])
+    @pytest.mark.parametrize(
+        "board_cls",
+        [Billboard, functools.partial(ColumnarBoard, substrate="sparse")],
+        ids=["Billboard", "sparse"],
+    )
     def test_bit_identical_at_every_epoch_boundary(self, board_cls):
         """The golden equivalence: fold epochs one at a time online, and
         at *every* boundary the full state digest must equal a fresh
@@ -92,7 +98,7 @@ class TestOnlineVsBatch:
         assert len(phases) >= 2, f"traffic never left {phases}"
 
     def test_sparse_equals_dense(self):
-        dense, sparse = Billboard(N, M), SparseBoard(N, M)
+        dense, sparse = Billboard(N, M), ColumnarBoard(N, M, substrate="sparse")
         online_dense = OnlineDistillRecommender(dense, _ctx())
         online_sparse = OnlineDistillRecommender(sparse, _ctx())
         for board, online in ((dense, online_dense), (sparse, online_sparse)):
