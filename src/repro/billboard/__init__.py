@@ -12,16 +12,13 @@ The components are:
   integrity enforcement (the scalar engine's dense substrate).
 * :class:`~repro.billboard.columnar.ColumnarBoard` — the same log as
   numpy columns, without the hash chain: every batched lane and the
-  sparse substrate.
+  sparse substrate (``substrate="sparse"``) for population-scale worlds.
 * :class:`~repro.billboard.votes.VoteLedger` — the *reader-side* vote
-  accounting: one vote per player (Figure 1), or the first ``f`` votes
-  (Section 4.1), or the mutable best-so-far vote (Section 5.3).
+  accounting of every board: one vote per player (Figure 1), or the
+  first ``f`` votes (Section 4.1), or the mutable best-so-far vote
+  (Section 5.3).
 * :class:`~repro.billboard.views.BillboardView` — the read-only window a
   player or adversary is handed during a round.
-* :class:`~repro.billboard.sparse.SparseVoteLedger` — the object-sharded
-  ledger of the sparse substrate for population-scale worlds
-  (``substrate="sparse"``), bit-identical to the dense ledger for every
-  query.
 """
 
 from repro.billboard.board import Billboard
@@ -31,7 +28,6 @@ from repro.billboard.post import Post, PostKind
 from repro.billboard.sparse import (
     SPARSE_AUTO_THRESHOLD,
     SUBSTRATE_CHOICES,
-    SparseVoteLedger,
     choose_substrate,
     normalize_substrate,
 )
@@ -47,7 +43,6 @@ __all__ = [
     "PostKind",
     "SPARSE_AUTO_THRESHOLD",
     "SUBSTRATE_CHOICES",
-    "SparseVoteLedger",
     "VoteLedger",
     "VoteMode",
     "choose_substrate",

@@ -5,12 +5,13 @@ is — same write contract, validation errors and read API — stored as
 five growable columns (round, player, object, value, kind) instead of a
 :class:`Post` object per entry, and without the hash chain. It serves
 every batched lane, the scalar engine's sparse substrate and
-``repro serve --substrate sparse``.
+``repro serve --substrate sparse``, and reads its votes through the same
+:class:`~repro.billboard.votes.VoteLedger` as ``Billboard``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Union
+from typing import Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -19,18 +20,12 @@ from repro.billboard.post import Post, PostKind
 from repro.billboard.votes import VoteLedger, VoteMode, _IntColumn
 from repro.errors import InvalidPostError, TamperError
 
-if TYPE_CHECKING:
-    from repro.billboard.sparse import SparseVoteLedger
-
 
 class ColumnarBoard:
     """Append-only post log in numpy columns, plus its vote ledger.
 
-    Takes :class:`Billboard`'s arguments plus ``substrate``, which picks
-    the ledger as :func:`~repro.billboard.sparse.choose_substrate`
-    resolves it: the dense :class:`VoteLedger` or the object-sharded
-    :class:`~repro.billboard.sparse.SparseVoteLedger` (bit-identical for
-    every query).
+    Takes :class:`Billboard`'s arguments and keeps the same
+    :class:`VoteLedger`.
     """
 
     __slots__ = (
@@ -51,19 +46,10 @@ class ColumnarBoard:
         n_objects: int,
         vote_mode: VoteMode = VoteMode.SINGLE,
         max_votes_per_player: int = 1,
-        substrate: Optional[str] = "dense",
     ) -> None:
-        # imported here because repro.billboard.sparse re-exports this class
-        from repro.billboard.sparse import SparseVoteLedger, choose_substrate
-
         self.n_players = n_players
         self.n_objects = n_objects
-        ledger_cls = (
-            SparseVoteLedger
-            if choose_substrate(substrate, n_players) == "sparse"
-            else VoteLedger
-        )
-        self.ledger: "VoteLedger | SparseVoteLedger" = ledger_cls(
+        self.ledger = VoteLedger(
             n_players,
             n_objects,
             mode=vote_mode,

@@ -2,10 +2,11 @@
 
 Each lane of :mod:`repro.sim.batch_engine` needs :class:`Billboard`'s
 exact reader semantics without its per-post overhead, so each is a
-:class:`~repro.billboard.columnar.ColumnarBoard` with the ledger the
-``substrate`` knob selects. Lanes live and die inside one engine call,
-so they need no hash chain; the golden equivalence suite against the
-scalar engine is the batched path's integrity guarantee.
+:class:`~repro.billboard.columnar.ColumnarBoard` with its own
+:class:`~repro.billboard.votes.VoteLedger`; the ``substrate`` knob does
+not apply to lanes. Lanes live and die inside one engine call, so they
+need no hash chain; the golden equivalence suite against the scalar
+engine is the batched path's integrity guarantee.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ class LaneBillboard:
         n_objects: int,
         vote_mode: VoteMode = VoteMode.SINGLE,
         max_votes_per_player: int = 1,
-        substrate: str = "dense",
     ) -> None:
         if n_lanes < 1:
             raise ConfigurationError(f"need at least one lane, got {n_lanes}")
@@ -38,7 +38,6 @@ class LaneBillboard:
                 n_objects,
                 vote_mode=vote_mode,
                 max_votes_per_player=max_votes_per_player,
-                substrate=substrate,
             )
             for _ in range(n_lanes)
         ]

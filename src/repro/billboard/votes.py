@@ -157,15 +157,12 @@ class VoteLedger:
         self._votes_by_player: List[List[int]] = [[] for _ in range(n_players)]
 
         # Current advice target per player; -1 means "no vote yet".
-        # player_array keeps million-player ledgers memmap-backed, the
-        # same active-players-only budget the sparse substrate promises.
+        # player_array keeps million-player ledgers memmap-backed, so
+        # idle players cost address space rather than resident pages.
         self._current_vote = player_array(n_players, -1, np.int64)
 
         # Effective-vote tally per player (vectorized votes_cast_by).
         self._vote_counts = player_array(n_players, 0, np.int64)
-
-        # Objects with >= 1 effective vote, in first-vote order.
-        self._voted_objects: Dict[int, int] = {}
 
         # Per-horizon query memo, invalidated on every effective record.
         # Within one round the engine, tracker, and advice resolution all
@@ -207,7 +204,6 @@ class VoteLedger:
         self._objects.append(obj)
         self._current_vote[player] = obj
         self._vote_counts[player] += 1
-        self._voted_objects.setdefault(obj, round_no)
         self._memo.clear()
         return True
 
@@ -259,7 +255,6 @@ class VoteLedger:
             self._vote_counts[eff_players] += 1
             for p, o in zip(eff_players, eff_objects):
                 self._votes_by_player[p].append(int(o))
-                self._voted_objects.setdefault(int(o), round_no)
             self._memo.clear()
         return effective
 

@@ -109,9 +109,9 @@ RULES: Dict[str, Rule] = {
             "dense-player-allocation",
             "dense per-player allocation in a billboard module",
             "billboard storage must scale with *active* players, not n "
-            "(the sparse-substrate contract); keep per-player state in "
-            "columnar/dict form (repro.billboard.sparse) or allocate "
-            "through repro.world.player_array",
+            "(the sparse-substrate contract); allocate per-player state "
+            "through repro.world.player_array, which spills to a memmap "
+            "above its budget",
         ),
         Rule(
             "RPL011",

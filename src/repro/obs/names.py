@@ -92,10 +92,11 @@ DECLARED_TIMERS: FrozenSet[str] = frozenset(
 )
 
 #: prefixes whose member names are computed at runtime (the engines fold
-#: ``f"faults.{key}"`` realization summaries and ``f"substrate.{name}"``
-#: resolutions). A dynamic call site is legal iff its static prefix is
-#: listed here; the members it can realize still have to be declared
-#: above (``tests/obs/test_names.py`` pins the fault-injector keys).
+#: ``f"faults.{key}"`` realization summaries, and the scalar engine its
+#: ``f"substrate.{name}"`` resolution). A dynamic call site is legal iff
+#: its static prefix is listed here; the members it can realize still
+#: have to be declared above (``tests/obs/test_names.py`` pins the
+#: fault-injector keys).
 DYNAMIC_COUNTER_PREFIXES: Tuple[str, ...] = (
     "faults.",
     "substrate.",

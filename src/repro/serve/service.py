@@ -97,7 +97,7 @@ class BillboardService:
         self.config = config
         self.substrate = choose_substrate(config.substrate, config.n_players)
         self.board: AnyBoard = (
-            ColumnarBoard(config.n_players, config.n_objects, substrate="sparse")
+            ColumnarBoard(config.n_players, config.n_objects)
             if self.substrate == "sparse"
             else Billboard(config.n_players, config.n_objects)
         )

@@ -13,8 +13,9 @@ it once per *batch*, advancing ``K`` trials — *lanes* — in lockstep:
   so each lane's randomness is bit-identical to a scalar run of that
   trial;
 * each lane has its own columnar billboard
-  (:class:`~repro.billboard.columnar.ColumnarBoard`) sharing the scalar
-  ledger's effectiveness rules as code;
+  (:class:`~repro.billboard.columnar.ColumnarBoard`) with the scalar
+  engine's :class:`~repro.billboard.votes.VoteLedger`, so the ``substrate``
+  knob has nothing to select here;
 * finished lanes are masked out, not removed — remaining lanes keep
   their indices, and the loop ends when every lane is done.
 
@@ -45,7 +46,6 @@ import numpy as np
 
 from repro.billboard.lanes import LaneBillboard
 from repro.billboard.post import PostKind
-from repro.billboard.sparse import choose_substrate
 from repro.billboard.views import BillboardView
 from repro.errors import (
     AdversaryViolationError,
@@ -117,12 +117,6 @@ class BatchedEngine:
         Optional :class:`~repro.obs.registry.Registry` the run increments
         ``batch.*`` event counters into. Counters only (no clock reads in
         ``sim``); results are bit-identical with or without it.
-    substrate:
-        Ledger storage selection per lane board — ``"dense"``,
-        ``"sparse"``, or ``"auto"``/``None`` (sparse at or above
-        :data:`~repro.billboard.sparse.SPARSE_AUTO_THRESHOLD` players).
-        Bit-inert; the batched engine never traces, so no fallback
-        exists on this path.
     """
 
     def __init__(
@@ -137,7 +131,6 @@ class BatchedEngine:
         ctxs: Optional[Sequence[Optional[StrategyContext]]] = None,
         faults: Optional["BatchedFaultInjector"] = None,
         obs: Optional["Registry"] = None,
-        substrate: Optional[str] = None,
     ) -> None:
         if not instances:
             raise ConfigurationError("BatchedEngine needs at least one lane")
@@ -186,14 +179,12 @@ class BatchedEngine:
                 ctxs if ctxs is not None else [None] * self.n_lanes,
             )
         ]
-        self.substrate = choose_substrate(substrate, shape[0])
         self.boards = LaneBillboard(
             self.n_lanes,
             shape[0],
             shape[1],
             vote_mode=self.config.vote_mode,
             max_votes_per_player=self.config.max_votes_per_player,
-            substrate=self.substrate,
         )
         if faults is not None and faults.n_lanes != self.n_lanes:
             raise ConfigurationError(
@@ -262,7 +253,6 @@ class BatchedEngine:
         if obs is not None:
             obs.counter("batch.runs").add()
             obs.counter("batch.lanes").add(K)
-            obs.counter(f"substrate.{self.substrate}").add(K)
             count_rounds = obs.counter("batch.rounds").add
             count_lane_rounds = obs.counter("batch.lane_rounds").add
             count_probes = obs.counter("batch.probes").add

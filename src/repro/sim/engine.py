@@ -122,13 +122,12 @@ class SynchronousEngine:
         costs one predicate check per instrumentation site and results
         are bit-identical either way.
     substrate:
-        Billboard storage selection: ``"dense"`` (the chained
-        :class:`Billboard` and its dense ledger), ``"sparse"`` (the
-        :class:`~repro.billboard.columnar.ColumnarBoard` and its
-        object-sharded ledger), or ``"auto"``/``None`` (sparse at or
-        above :data:`~repro.billboard.sparse.SPARSE_AUTO_THRESHOLD`
-        players). Bit-inert: results, and structured traces, are
-        identical either way.
+        Post-log selection: ``"dense"`` (the chained :class:`Billboard`),
+        ``"sparse"`` (the :class:`~repro.billboard.columnar.ColumnarBoard`),
+        or ``"auto"``/``None`` (sparse at or above
+        :data:`~repro.billboard.sparse.SPARSE_AUTO_THRESHOLD` players).
+        Both read votes through the same ledger. Bit-inert: results, and
+        structured traces, are identical either way.
     """
 
     def __init__(
@@ -171,7 +170,7 @@ class SynchronousEngine:
         board_args = (instance.n, instance.m, self.config.vote_mode,
                       self.config.max_votes_per_player)
         self.board: AnyBoard = (
-            ColumnarBoard(*board_args, substrate="sparse")
+            ColumnarBoard(*board_args)
             if self.substrate == "sparse"
             else Billboard(*board_args)
         )

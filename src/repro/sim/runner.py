@@ -405,7 +405,6 @@ def _run_chunk(
                     state["config"],
                     state["keep_metrics"],
                     state["timeout"],
-                    state["substrate"],
                     obs,
                 )
             except TrialTimeoutError as exc:
@@ -478,7 +477,6 @@ def _execute_grid_group(
     config: Optional[EngineConfig],
     keep_metrics: bool,
     timeout: Optional[float],
-    substrate: Optional[str],
     obs: Optional[Registry],
 ) -> List[_TrialRecord]:
     """Run one lane group through a single :class:`BatchedEngine`.
@@ -548,7 +546,6 @@ def _execute_grid_group(
             ctxs=ctxs,
             faults=faults,
             obs=obs,
-            substrate=substrate,
         )
         metrics = engine.run()
     if obs is not None:
@@ -583,7 +580,8 @@ def run_trial_grid(
     their cell's own alpha/beta (via the instance), strategy, adversary,
     and fault plan; all cells must share ``(n, m)`` (the engine enforces
     this) and the grid shares one ``config`` and one ``substrate`` knob
-    (bit-inert — see :func:`run_trials`).
+    (bit-inert, and read only by the scalar path — see
+    :func:`run_trials`).
 
     Returns one :class:`TrialResults` per cell, in cell order, each
     bit-identical — ``per_trial`` arrays, kept metrics, ``fault_info``,
@@ -662,8 +660,7 @@ def run_trial_grid(
             group = units[start : start + lanes]
             try:
                 records = _execute_grid_group(
-                    group, cells, config, keep_metrics, timeout, substrate,
-                    registry,
+                    group, cells, config, keep_metrics, timeout, registry
                 )
             except TrialTimeoutError as exc:
                 labels = ", ".join(
@@ -914,15 +911,16 @@ def run_trials(
         trials are already checkpointed when ``checkpoint_path`` is
         set, so an aborted sweep resumes cleanly).
     substrate:
-        Billboard storage substrate for every trial's engine:
-        ``"dense"`` (the original per-player arrays), ``"sparse"`` (the
-        columnar sharded-ledger substrate that scales with *active*
-        players — see :mod:`repro.billboard.sparse`), or ``"auto"``
-        (``None`` too) to pick sparse at or above
+        Post log of every scalar trial's engine: ``"dense"`` (the
+        ``Post``-object :class:`~repro.billboard.board.Billboard`),
+        ``"sparse"`` (the columnar board — see
+        :mod:`repro.billboard.sparse`), or ``"auto"`` (``None`` too) to
+        pick sparse at or above
         :data:`~repro.billboard.sparse.SPARSE_AUTO_THRESHOLD` players.
-        The substrate is bit-inert: results are identical for every
-        choice (enforced by the sparse equivalence suite); the requested
-        knob is recorded in the manifest's ``substrate`` field.
+        Lanes (``batch_lanes > 1``) always run the columnar board. The
+        substrate is bit-inert: results are identical for every choice
+        (enforced by the sparse equivalence suite); the requested knob
+        is recorded in the manifest's ``substrate`` field.
     checkpoint_path:
         Incremental JSONL checkpoint of completed trials. If the file
         already exists (same seed and trial count — anything else raises

@@ -55,7 +55,7 @@ class TestSnapshotViewBasics:
         assert view.before_round == 5
 
     def test_works_on_sparse_substrate(self):
-        board = ColumnarBoard(N_PLAYERS, N_OBJECTS, substrate="sparse")
+        board = ColumnarBoard(N_PLAYERS, N_OBJECTS)
         board.append_many(0, _batch([(0, 1)]))
         view = SnapshotView(board, epoch=1)
         assert view.cumulative_vote_counts()[1] == 1

@@ -1,14 +1,15 @@
 """Golden equivalence suite: sparse substrate ≡ dense, bit for bit.
 
-The sparse columnar substrate (:mod:`repro.billboard.sparse`) promises
-that ``substrate=`` never changes a result: for every vote mode, both
-engines, and faulted cells alike, a sparse run's
-:class:`~repro.sim.metrics.RunMetrics` — probes, paid, satisfied/halted
-arrays, rounds, ``fault_info``, everything — are *identical* to the
-dense run of the same seed. This module is that promise's enforcement:
-a pinned grid over vote modes × {scalar, batched K=8} × {clean, faulted
-E15-style churn cell}, the auto-threshold contract, traced runs keeping
-their substrate, and the ``substrate.*`` observability counters.
+The sparse substrate (:mod:`repro.billboard.sparse`: the scalar engine
+on the columnar post log) promises that ``substrate=`` never changes a
+result: for every vote mode, clean and faulted cells alike, a sparse
+run's :class:`~repro.sim.metrics.RunMetrics` — probes, paid,
+satisfied/halted arrays, rounds, ``fault_info``, everything — are
+*identical* to the dense (``Billboard``) run of the same seed. This
+module is that promise's enforcement: a pinned grid over vote modes ×
+{clean, faulted E15-style churn cell}, the auto-threshold contract,
+traced runs keeping their board, and the ``substrate.*`` observability
+counters.
 """
 
 import dataclasses
@@ -19,8 +20,9 @@ import pytest
 
 from repro.adversaries.silent import SilentAdversary
 from repro.adversaries.split_vote import SplitVoteAdversary
-from repro.billboard.sparse import SPARSE_AUTO_THRESHOLD, SparseVoteLedger
-from repro.billboard.votes import VoteMode
+from repro.billboard.columnar import ColumnarBoard
+from repro.billboard.sparse import SPARSE_AUTO_THRESHOLD
+from repro.billboard.votes import VoteLedger, VoteMode
 from repro.core.distill import DistillStrategy
 from repro.faults.plan import FaultPlan
 from repro.obs.registry import Registry
@@ -54,10 +56,11 @@ FAULTED_PLAN = FaultPlan(
     observation_noise=0.05,
 )
 
+#: scalar rows only (``batch_lanes=None``): lanes run the columnar board
+#: whatever the knob says, so a lanes row would compare a run with itself
 GRID = [
-    (vname, lanes, plan_name)
+    (vname, None, plan_name)
     for vname in VOTE_MODES
-    for lanes in (None, 8)
     for plan_name in ("clean", "faulted")
 ]
 
@@ -107,8 +110,8 @@ def assert_results_identical(dense, sparse):
 
 
 class TestGoldenGrid:
-    """Every (vote mode, engine, fault) cell, dense vs sparse, down to
-    the last array element."""
+    """Every (vote mode, fault) cell, dense vs sparse, down to the last
+    array element."""
 
     @pytest.mark.parametrize("vname,lanes,plan_name", GRID)
     def test_sparse_matches_dense(self, vname, lanes, plan_name):
@@ -160,8 +163,8 @@ class TestSubstrateResolution:
 
     def test_traced_sparse_run_keeps_its_board(self):
         """Structured tracing runs on the substrate it asked for: the
-        traced sparse run keeps its columnar board and sparse ledger,
-        and its metrics and trace events equal the traced dense run's."""
+        traced sparse run keeps its columnar board, and its metrics and
+        trace events equal the traced dense run's."""
         runs = {}
         for substrate in ("dense", "sparse"):
             obs = Registry()
@@ -176,7 +179,8 @@ class TestSubstrateResolution:
             assert engine.substrate == substrate
             counters = obs.snapshot()["counters"]
             assert counters.get(f"substrate.{substrate}") == 1, counters
-        assert isinstance(engine.board.ledger, SparseVoteLedger)
+        assert type(engine.board) is ColumnarBoard
+        assert type(engine.board.ledger) is VoteLedger
         dense, sparse = runs["dense"], runs["sparse"]
         kinds = dense.trace.counts()
         assert kinds.get("vote", 0) > 0 and kinds.get("adversary", 0) > 0
@@ -195,6 +199,12 @@ class TestSubstrateResolution:
         counters = obs.snapshot()["counters"]
         assert counters.get("substrate.sparse") == 1
         assert "substrate.dense" not in counters
+        # lanes have no substrate to resolve, so they count none
+        obs = Registry()
+        _run("sparse", "single", 8, "clean", obs=obs)
+        counters = obs.snapshot()["counters"]
+        assert counters.get("trial.batched") == 8, counters
+        assert not [k for k in counters if k.startswith("substrate.")]
 
     def test_manifest_records_the_requested_substrate(self):
         res = _run("sparse", "single", None, "clean")

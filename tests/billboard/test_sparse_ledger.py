@@ -1,15 +1,15 @@
-"""Unit parity for the sparse ledger and the columnar board.
+"""Unit parity for the vote ledger's block write and the columnar board.
 
-:class:`~repro.billboard.sparse.SparseVoteLedger` promises
-*bit-identical* behaviour to the dense
-:class:`~repro.billboard.votes.VoteLedger`, and
-:class:`~repro.billboard.columnar.ColumnarBoard` (on either ledger) to
-:class:`~repro.billboard.board.Billboard`, for every vote mode and every
-query — neither the substrate knob nor the post log's storage may
-change a result. This module drives the implementations through the
-same randomized workloads and asserts every observable agrees, plus the
-pinned satellite contracts: empty batches are explicit no-ops and
-column views are read-only.
+:meth:`~repro.billboard.votes.VoteLedger.record_block` promises exactly
+what one :meth:`~repro.billboard.votes.VoteLedger.record` call per
+``(player, object)`` pair would do, and
+:class:`~repro.billboard.columnar.ColumnarBoard` promises
+*bit-identical* behaviour to :class:`~repro.billboard.board.Billboard`,
+for every vote mode and every query — neither the substrate knob nor the
+post log's storage may change a result. This module drives the
+implementations through the same randomized workloads and asserts every
+observable agrees, plus the pinned satellite contracts: empty batches
+are explicit no-ops and column views are read-only.
 """
 
 import itertools
@@ -22,7 +22,6 @@ from repro.billboard.columnar import ColumnarBoard
 from repro.billboard.post import Post, PostKind
 from repro.billboard.sparse import (
     SPARSE_AUTO_THRESHOLD,
-    SparseVoteLedger,
     choose_substrate,
     normalize_substrate,
 )
@@ -34,9 +33,6 @@ MODES = {
     "multi": (VoteMode.MULTI, 3),
     "mutable": (VoteMode.MUTABLE, 2),
 }
-
-#: ColumnarBoard's ``substrate`` argument -> the ledger class it builds
-LEDGERS = {"dense": VoteLedger, "sparse": SparseVoteLedger}
 
 #: the columnar board's two batch writes
 WRITE_PATHS = ("append_many", "post_block")
@@ -53,90 +49,82 @@ def _vote_post(round_no, player, obj):
     )
 
 
-def _pair(mode_name, n_players=24, n_objects=12):
+def _ledger(mode_name, n_players=24, n_objects=12):
     mode, cap = MODES[mode_name]
-    dense = VoteLedger(
+    return VoteLedger(
         n_players, n_objects, mode=mode, max_votes_per_player=cap
     )
-    sparse = SparseVoteLedger(
-        n_players, n_objects, mode=mode, max_votes_per_player=cap
-    )
-    return dense, sparse
 
 
-def _assert_ledgers_agree(dense, sparse, horizons):
+def _assert_ledgers_agree(a, b, horizons):
     for horizon in horizons:
         for name in ("current_vote_array", "objects_with_votes"):
-            a = getattr(dense, name)(horizon)
-            b = getattr(sparse, name)(horizon)
-            assert np.array_equal(a, b), (name, horizon)
-            assert a.dtype == b.dtype, (name, horizon)
+            x = getattr(a, name)(horizon)
+            y = getattr(b, name)(horizon)
+            assert np.array_equal(x, y), (name, horizon)
+            assert x.dtype == y.dtype, (name, horizon)
     for start, end in [(0, 1), (0, 50), (2, 5), (3, 3), (1, 10)]:
-        a = dense.counts_in_window(start, end)
-        b = sparse.counts_in_window(start, end)
-        assert np.array_equal(a, b), (start, end)
-    assert dense.effective_vote_count == sparse.effective_vote_count
-    for player in range(dense.n_players):
-        assert dense.votes_of(player) == sparse.votes_of(player), player
-    players = np.arange(dense.n_players)
-    assert dense.votes_cast_by(players) == sparse.votes_cast_by(players)
+        x = a.counts_in_window(start, end)
+        y = b.counts_in_window(start, end)
+        assert np.array_equal(x, y), (start, end)
+    assert a.effective_vote_count == b.effective_vote_count
+    for player in range(a.n_players):
+        assert a.votes_of(player) == b.votes_of(player), player
+    players = np.arange(a.n_players)
+    assert a.votes_cast_by(players) == b.votes_cast_by(players)
 
 
 class TestLedgerParity:
-    """Randomized interleaved record/record_block parity, every mode."""
+    """Randomized interleaved workload, every mode: ``record_block`` ≡
+    one ``record`` per pair, in order."""
 
     @pytest.mark.parametrize("mode_name", sorted(MODES))
-    def test_interleaved_workload_matches_dense(self, mode_name):
+    def test_block_matches_per_post_record(self, mode_name):
         rng = np.random.default_rng(2026)
+        repeated_blocks = 0
         for trial in range(10):
-            dense, sparse = _pair(mode_name)
+            blocked, per_post = _ledger(mode_name), _ledger(mode_name)
             round_no = 0
             for _step in range(40):
                 if rng.random() < 0.5:
-                    player = int(rng.integers(dense.n_players))
-                    obj = int(rng.integers(dense.n_objects))
+                    player = int(rng.integers(blocked.n_players))
+                    obj = int(rng.integers(blocked.n_objects))
                     post = _vote_post(round_no, player, obj)
-                    assert dense.record(post) == sparse.record(post)
+                    assert blocked.record(post) == per_post.record(post)
                 else:
-                    k = int(rng.integers(0, 6))
-                    players = rng.integers(0, dense.n_players, size=k)
-                    objects = rng.integers(0, dense.n_objects, size=k)
-                    a = dense.record_block(round_no, players, objects)
-                    b = sparse.record_block(round_no, players, objects)
-                    assert np.array_equal(a, b)
+                    k = int(rng.integers(0, 7))
+                    players = rng.integers(0, blocked.n_players, size=k)
+                    objects = rng.integers(0, blocked.n_objects, size=k)
+                    repeated_blocks += len(set(players.tolist())) < k
+                    mask = blocked.record_block(round_no, players, objects)
+                    expected = [
+                        per_post.record(_vote_post(round_no, int(p), int(o)))
+                        for p, o in zip(players, objects)
+                    ]
+                    assert mask.dtype == np.bool_
+                    assert mask.tolist() == expected
                 if rng.random() < 0.4:
                     round_no += int(rng.integers(1, 3))
                 if rng.random() < 0.3:
                     horizon = int(rng.integers(0, round_no + 2))
-                    _assert_ledgers_agree(dense, sparse, [horizon])
-            _assert_ledgers_agree(dense, sparse, [None, 0, 1, round_no + 1])
+                    _assert_ledgers_agree(blocked, per_post, [horizon])
+            _assert_ledgers_agree(
+                blocked, per_post, [None, 0, 1, round_no + 1]
+            )
+        # blocks that repeat a player are what the SINGLE-mode
+        # vectorized branch must resolve like the per-post rule
+        assert repeated_blocks > 0
 
     @pytest.mark.parametrize("mode_name", sorted(MODES))
     def test_empty_record_block_is_a_no_op(self, mode_name):
-        dense, sparse = _pair(mode_name)
-        for ledger in (dense, sparse):
-            accepted = ledger.record_block(
-                3, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-            )
-            assert accepted.shape == (0,)
-            assert accepted.dtype == np.bool_
-            assert ledger.effective_vote_count == 0
-        _assert_ledgers_agree(dense, sparse, [None, 0, 5])
-
-    def test_constructor_errors_match_dense(self):
-        with pytest.raises(ConfigurationError):
-            SparseVoteLedger(0, 4)
-        with pytest.raises(ConfigurationError):
-            SparseVoteLedger(4, 4, mode=VoteMode.MULTI, max_votes_per_player=0)
-        with pytest.raises(ConfigurationError):
-            SparseVoteLedger(4, 4, n_shards=0)
-
-    def test_shards_partition_the_vote_stream(self):
-        _dense, sparse = _pair("single")
-        players = np.arange(10)
-        objects = np.arange(10) % sparse.n_objects
-        sparse.record_block(0, players, objects)
-        assert sum(sparse.shard_sizes()) == sparse.effective_vote_count
+        ledger = _ledger(mode_name)
+        accepted = ledger.record_block(
+            3, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        )
+        assert accepted.shape == (0,)
+        assert accepted.dtype == np.bool_
+        assert ledger.effective_vote_count == 0
+        _assert_ledgers_agree(ledger, _ledger(mode_name), [None, 0, 5])
 
 
 def _write(board, round_no, entries, path):
@@ -189,29 +177,25 @@ def _assert_boards_agree(dense, columnar):
 
 
 class TestBoardParity:
-    """Billboard ≡ ColumnarBoard on either ledger, written through
-    ``append_many`` or ``post_block``: posts read back, list semantics,
-    ledger queries, validation errors, and empty batches."""
+    """Billboard ≡ ColumnarBoard, written through ``append_many`` or
+    ``post_block``: posts read back, list semantics, ledger queries,
+    validation errors, and empty batches."""
 
-    def _boards(self, mode_name, substrate, n_players=16, n_objects=8):
+    def _boards(self, mode_name, n_players=16, n_objects=8):
         mode, cap = MODES[mode_name]
         dense = Billboard(
             n_players, n_objects, vote_mode=mode, max_votes_per_player=cap
         )
         columnar = ColumnarBoard(
-            n_players,
-            n_objects,
-            vote_mode=mode,
-            max_votes_per_player=cap,
-            substrate=substrate,
+            n_players, n_objects, vote_mode=mode, max_votes_per_player=cap
         )
         return dense, columnar
 
     @pytest.mark.parametrize("mode_name", sorted(MODES))
     def test_append_paths_agree(self, mode_name):
-        for substrate, path in itertools.product(LEDGERS, WRITE_PATHS):
-            dense, columnar = self._boards(mode_name, substrate)
-            assert type(columnar.ledger) is LEDGERS[substrate]
+        for path in WRITE_PATHS:
+            dense, columnar = self._boards(mode_name)
+            assert type(columnar.ledger) is VoteLedger
             rng = np.random.default_rng(7)
             round_no = 0
             for _step in range(25):
@@ -231,20 +215,19 @@ class TestBoardParity:
 
     def test_empty_append_many_is_a_no_op(self):
         empty_ids = np.zeros(0, dtype=np.int64)
-        for substrate in LEDGERS:
-            dense, columnar = self._boards("single", substrate)
-            assert dense.append_many(5, []) == []
-            columnar.append_many(5, [])
-            columnar.post_block(
-                5, empty_ids, empty_ids, np.zeros(0), PostKind.VOTE
-            )
-            _assert_boards_agree(dense, columnar)
-            assert len(columnar) == 0 and columnar.last_round == -1
-            # a later batch at an *earlier* round still succeeds: the
-            # empty batch must not have advanced the round clock
-            for board in (dense, columnar):
-                board.append_many(2, [(0, 0, 1.0, PostKind.VOTE)])
-            _assert_boards_agree(dense, columnar)
+        dense, columnar = self._boards("single")
+        assert dense.append_many(5, []) == []
+        columnar.append_many(5, [])
+        columnar.post_block(
+            5, empty_ids, empty_ids, np.zeros(0), PostKind.VOTE
+        )
+        _assert_boards_agree(dense, columnar)
+        assert len(columnar) == 0 and columnar.last_round == -1
+        # a later batch at an *earlier* round still succeeds: the
+        # empty batch must not have advanced the round clock
+        for board in (dense, columnar):
+            board.append_many(2, [(0, 0, 1.0, PostKind.VOTE)])
+        _assert_boards_agree(dense, columnar)
 
     def test_validation_errors_match_dense(self):
         vote = PostKind.VOTE
@@ -262,10 +245,8 @@ class TestBoardParity:
             (-1, [(0, 0, 1.0, vote), (99, 0, 1.0, vote)]),
             (-1, [(99, 0, 1.0, vote), (0, 0, 1.0, vote)]),
         ]
-        for substrate, path in itertools.product(LEDGERS, WRITE_PATHS):
-            dense, columnar = self._boards(
-                "single", substrate, n_players=8, n_objects=16
-            )
+        for path in WRITE_PATHS:
+            dense, columnar = self._boards("single", n_players=8, n_objects=16)
             for board in (dense, columnar):
                 _write(board, 2, [(1, 1, 1.0, vote)], path)
             for round_no, entries in cases:

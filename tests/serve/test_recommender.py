@@ -1,7 +1,5 @@
 """Online incremental DISTILL must be bit-identical to batch DISTILL."""
 
-import functools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,7 +42,7 @@ def _seeded_traffic(board, epochs, seed=0, votes_per_epoch=5):
 class TestOnlineVsBatch:
     @pytest.mark.parametrize(
         "board_cls",
-        [Billboard, functools.partial(ColumnarBoard, substrate="sparse")],
+        [Billboard, ColumnarBoard],
         ids=["Billboard", "sparse"],
     )
     def test_bit_identical_at_every_epoch_boundary(self, board_cls):
@@ -98,7 +96,7 @@ class TestOnlineVsBatch:
         assert len(phases) >= 2, f"traffic never left {phases}"
 
     def test_sparse_equals_dense(self):
-        dense, sparse = Billboard(N, M), ColumnarBoard(N, M, substrate="sparse")
+        dense, sparse = Billboard(N, M), ColumnarBoard(N, M)
         online_dense = OnlineDistillRecommender(dense, _ctx())
         online_sparse = OnlineDistillRecommender(sparse, _ctx())
         for board, online in ((dense, online_dense), (sparse, online_sparse)):
