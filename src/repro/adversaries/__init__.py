@@ -11,11 +11,7 @@ adversaries for the E11 gauntlet.
 """
 
 from repro.adversaries.base import Adversary
-from repro.adversaries.batched import (
-    BatchedAdversary,
-    PerLaneAdversary,
-    VectorSlotSplitVoteAdversary,
-)
+from repro.adversaries.batched import BatchedAdversary, PerLaneAdversary
 from repro.adversaries.silent import SilentAdversary
 from repro.adversaries.concentrate import ConcentrateAdversary
 from repro.adversaries.flood import FloodAdversary
@@ -36,7 +32,6 @@ __all__ = [
     "BatchedAdversary",
     "ConcentrateAdversary",
     "PerLaneAdversary",
-    "VectorSlotSplitVoteAdversary",
     "FloodAdversary",
     "MimicAdversary",
     "ObliviousSplitVoteAdversary",

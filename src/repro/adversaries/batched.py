@@ -4,19 +4,13 @@ The batched engine asks its adversary one lane at a time —
 ``act(lane, round_no, view)`` — because each lane's attack depends on
 that lane's own billboard history and rng stream. Every adversary runs
 in lanes as one scalar instance per lane behind
-:class:`PerLaneAdversary`; there is no cross-lane fusion.
-
-The one exception with its own mechanism is the split-vote adversary:
-its vote-slot pool becomes a numpy array with a vectorized
-distinct-identity allocator (:class:`VectorSlotSplitVoteAdversary`),
-replacing the quadratic Python list rebuild that dominates the hard E3
-cell. ``SplitVoteAdversary.make_batched`` builds one such instance per
-lane.
+:class:`PerLaneAdversary`; there is no cross-lane fusion and no
+lane-only twin, so a lane runs exactly the scalar engine's adversary
+code (the split-vote slot allocator included).
 
 Equivalence contract: per lane, the rng draw sequence and the emitted
 actions are exactly the scalar adversary's for the same instance and
-stream. The split-vote subclass below only re-implements the slot
-*bookkeeping*; every draw and every attack decision is inherited code.
+stream.
 """
 
 from __future__ import annotations
@@ -26,7 +20,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.adversaries.base import Adversary
-from repro.adversaries.split_vote import SplitVoteAdversary
 from repro.billboard.views import BillboardView
 from repro.sim.actions import VoteAction
 from repro.world.instance import Instance
@@ -87,45 +80,3 @@ class PerLaneAdversary(BatchedAdversary):
             return []
         return adversary.act(round_no, view)
 
-
-class VectorSlotSplitVoteAdversary(SplitVoteAdversary):
-    """Split-vote adversary with a vectorized vote-slot allocator.
-
-    The scalar ``_cast`` calls ``_take_votes`` once per target, and each
-    call rebuilds the slot pool as a Python list — quadratic over an
-    attack window, and the single hottest path of the whole E3 cell.
-
-    This subclass exploits a structural invariant of the pool: ``reset``
-    builds it as ``votes_per_identity`` contiguous blocks of one
-    permutation of the dishonest identities, and the only consumer
-    (``_cast``) takes slots from the front. Every reachable pool state is
-    therefore a contiguous window of that periodic sequence, so any
-    prefix of length ``<= n_distinct`` is automatically pairwise
-    distinct — the scalar scan's "first ``need`` distinct identities in
-    scan order" is simply the pool's first ``need`` entries. One whole
-    ``_cast`` collapses to a single slice + reshape, with the exact
-    action order of the scalar loop, pinned by the equivalence suite.
-    """
-
-    def reset(self, instance: Instance, rng: np.random.Generator) -> None:
-        super().reset(instance, rng)
-        self._unused = np.asarray(self._unused, dtype=np.int64)
-        self._n_distinct = int(np.unique(self._unused).size)
-
-    def _cast(self, targets: np.ndarray, need: int) -> List[VoteAction]:
-        pool = self._unused
-        # Scalar behaviour when a full distinct batch is impossible:
-        # _take_votes returns [] consuming nothing, and _cast breaks at
-        # the first such target.
-        if need > min(pool.size, self._n_distinct):
-            return []
-        n_batches = min(len(targets), pool.size // need)
-        if n_batches == 0:
-            return []
-        taken = pool[: n_batches * need].reshape(n_batches, need)
-        self._unused = pool[n_batches * need:]
-        return [
-            VoteAction(player=int(p), object_id=int(obj))
-            for obj, row in zip(targets[:n_batches], taken)
-            for p in row
-        ]

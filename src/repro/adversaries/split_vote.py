@@ -34,7 +34,7 @@ Attack plan per window:
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -45,9 +45,6 @@ from repro.core.tracker import DistillPhase, DistillPhaseTracker
 from repro.sim.actions import VoteAction
 from repro.strategies.base import StrategyContext
 from repro.world.instance import Instance
-
-if TYPE_CHECKING:  # type-only: repro.adversaries.batched imports this module
-    from repro.adversaries.batched import PerLaneAdversary
 
 
 class SplitVoteAdversary(Adversary):
@@ -96,30 +93,6 @@ class SplitVoteAdversary(Adversary):
         self.step11_fraction = step11_fraction
         self.step13_fraction = step13_fraction
 
-    def make_batched(self, n_lanes: int) -> "PerLaneAdversary":
-        """One vectorized-slot instance per lane (see
-        :class:`~repro.adversaries.batched.VectorSlotSplitVoteAdversary`).
-
-        Only this class's own lanes get the twin: the lane builder skips
-        it for subclasses, which run their own scalar instances.
-        """
-        from repro.adversaries.batched import (
-            PerLaneAdversary,
-            VectorSlotSplitVoteAdversary,
-        )
-
-        return PerLaneAdversary(
-            [
-                VectorSlotSplitVoteAdversary(
-                    params=self.params,
-                    step11_fraction=self.step11_fraction,
-                    step13_fraction=self.step13_fraction,
-                    votes_per_identity=self.votes_per_identity,
-                )
-                for _ in range(n_lanes)
-            ]
-        )
-
     # ------------------------------------------------------------------
     def reset(self, instance: Instance, rng: np.random.Generator) -> None:
         super().reset(instance, rng)
@@ -131,26 +104,24 @@ class SplitVoteAdversary(Adversary):
             good_threshold=instance.space.good_threshold,
         )
         self.tracker = DistillPhaseTracker(ctx, self.params)
-        # Each identity supplies `votes_per_identity` vote slots. Slots of
-        # one identity must target *distinct* objects (the ledger dedups),
-        # which the attack plans already guarantee by batching per object.
-        shuffled = list(self.rng.permutation(self.dishonest_ids))
-        self._unused = [
-            p for i in range(self.votes_per_identity) for p in shuffled
-        ]
+        # The vote-slot pool: each identity supplies `votes_per_identity`
+        # slots, laid out as that many copies of one permutation of the
+        # dishonest identities. _cast is the pool's only consumer and
+        # takes slots from the front, so every reachable pool is a
+        # contiguous window of this periodic sequence.
+        order = self.rng.permutation(self.dishonest_ids)
+        self._unused = np.tile(order, self.votes_per_identity)
         self._bad = self.bad_object_ids()
-        self._bad_set = set(int(b) for b in self._bad)
+        self._good_mask = instance.space.good_mask
         self._handled_window = (None, -1)
 
     @property
     def remaining_budget(self) -> int:
-        return len(self._unused)
+        return int(self._unused.size)
 
     # ------------------------------------------------------------------
     def act(self, round_no: int, view: BillboardView) -> List[VoteAction]:
-        # len() (rather than truthiness) keeps this guard valid for the
-        # vectorized subclass, whose slot pool is an ndarray.
-        if len(self._unused) == 0 or self._bad.size == 0:
+        if self._unused.size == 0 or self._bad.size == 0:
             return []
         # Mirror the honest phase computation exactly: advance on the
         # honest start-of-round horizon.
@@ -167,44 +138,30 @@ class SplitVoteAdversary(Adversary):
         return self._attack_iteration()
 
     # ------------------------------------------------------------------
-    def _take_votes(self, count: int) -> List[int]:
-        """Consume ``count`` vote slots with pairwise-distinct identities.
-
-        Distinctness matters because the ledger deduplicates repeat votes
-        by one player for one object; a batch aimed at a single object
-        must come from ``count`` different identities or the threshold is
-        not reached. Returns ``[]`` (consuming nothing) when the pool
-        cannot supply a full distinct batch.
-        """
-        taken: List[int] = []
-        rest: List[int] = []
-        seen = set()
-        for player in self._unused:
-            p = int(player)
-            if len(taken) < count and p not in seen:
-                taken.append(p)
-                seen.add(p)
-            else:
-                rest.append(p)
-        if len(taken) < count:
-            return []
-        self._unused = rest
-        return taken
-
     def _cast(self, targets: np.ndarray, need: int) -> List[VoteAction]:
-        """``need`` votes for each target, while vote slots last."""
-        actions: List[VoteAction] = []
-        for obj in targets:
-            voters = self._take_votes(need)
-            if not voters:
-                break
-            actions.extend(
-                VoteAction(player=p, object_id=int(obj)) for p in voters
-            )
-        return actions
+        """``need`` votes for each target, while vote slots last.
+
+        One batch must come from ``need`` distinct identities, because
+        the ledger ignores a player's repeat vote for one object. Any
+        window of the periodic pool no longer than the number of
+        identities is pairwise distinct, so the batches are consecutive
+        slices of the pool's front. A ``need`` above the pool or above
+        the number of identities casts nothing and consumes nothing.
+        """
+        pool = self._unused
+        if need > min(pool.size, self.dishonest_ids.size):
+            return []
+        n_batches = min(len(targets), pool.size // need)
+        taken = pool[: n_batches * need].reshape(n_batches, need)
+        self._unused = pool[n_batches * need :]
+        return [
+            VoteAction(player=int(p), object_id=int(obj))
+            for obj, row in zip(targets[:n_batches], taken)
+            for p in row
+        ]
 
     def _attack_step11(self) -> List[VoteAction]:
-        budget = math.floor(self.step11_fraction * len(self._unused))
+        budget = math.floor(self.step11_fraction * self._unused.size)
         n_targets = min(self._bad.size, budget)
         if n_targets <= 0:
             return []
@@ -213,7 +170,7 @@ class SplitVoteAdversary(Adversary):
 
     def _attack_step13(self) -> List[VoteAction]:
         need = max(1, math.ceil(self.params.c0_vote_threshold))
-        budget = math.floor(self.step13_fraction * len(self._unused))
+        budget = math.floor(self.step13_fraction * self._unused.size)
         n_targets = min(self._bad.size, budget // need)
         if n_targets <= 0:
             return []
@@ -222,14 +179,11 @@ class SplitVoteAdversary(Adversary):
 
     def _attack_iteration(self) -> List[VoteAction]:
         candidates = self.tracker.candidates
-        bad_candidates = np.array(
-            [c for c in candidates if int(c) in self._bad_set],
-            dtype=np.int64,
-        )
+        bad_candidates = candidates[~self._good_mask[candidates]]
         if bad_candidates.size == 0:
             return []
         need = math.floor(self.tracker.iteration_threshold()) + 1
-        n_targets = min(bad_candidates.size, len(self._unused) // need)
+        n_targets = min(bad_candidates.size, self._unused.size // need)
         if n_targets <= 0:
             return []
         return self._cast(bad_candidates[:n_targets], need)

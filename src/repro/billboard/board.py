@@ -187,6 +187,30 @@ class Billboard:
                 record(post)
         return posts
 
+    def post_block(
+        self,
+        round_no: int,
+        players: np.ndarray,
+        objects: np.ndarray,
+        values: np.ndarray,
+        kind: PostKind,
+    ) -> List[Post]:
+        """Append a same-round, same-kind block of posts given as columns
+        (the scalar engine's honest posts). This board stores ``Post``
+        objects, so it turns the columns into entries here and appends
+        them through :meth:`append_many`."""
+        return self.append_many(
+            round_no,
+            [
+                (player, object_id, value, kind)
+                for player, object_id, value in zip(
+                    np.asarray(players).tolist(),
+                    np.asarray(objects).tolist(),
+                    np.asarray(values).tolist(),
+                )
+            ],
+        )
+
     def _validate_entry(self, round_no: int, player: int, object_id: int) -> None:
         if not 0 <= player < self.n_players:
             raise InvalidPostError(

@@ -101,8 +101,8 @@ class ColumnarBoard:
         values: np.ndarray,
         kind: PostKind,
     ) -> None:
-        """Append a same-round, same-kind block of posts, in order (the
-        batched engine's honest posts); otherwise :meth:`append_many`."""
+        """Append a same-round, same-kind block of posts given as columns
+        (the engines' honest posts); otherwise :meth:`append_many`."""
         players = np.asarray(players, dtype=np.int64)
         if players.size == 0:
             return

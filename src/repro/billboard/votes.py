@@ -28,7 +28,7 @@ Three vote modes appear in the paper:
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -153,9 +153,6 @@ class VoteLedger:
         self._players = _IntColumn()
         self._objects = _IntColumn()
 
-        # Per-player effective vote targets (for MULTI advice and budgets).
-        self._votes_by_player: List[List[int]] = [[] for _ in range(n_players)]
-
         # Current advice target per player; -1 means "no vote yet".
         # player_array keeps million-player ledgers memmap-backed, so
         # idle players cost address space rather than resident pages.
@@ -163,6 +160,16 @@ class VoteLedger:
 
         # Effective-vote tally per player (vectorized votes_cast_by).
         self._vote_counts = player_array(n_players, 0, np.int64)
+
+        # MULTI only: each player's effective targets, one row of f
+        # slots per player filled left to right (the tally says how many
+        # are set), for the distinct-object check. SINGLE needs only the
+        # tally, MUTABLE only the current vote.
+        self._targets: Optional[np.ndarray] = (
+            player_array((n_players, max_votes_per_player), 0, np.int64)
+            if mode is VoteMode.MULTI
+            else None
+        )
 
         # Per-horizon query memo, invalidated on every effective record.
         # Within one round the engine, tracker, and advice resolution all
@@ -186,19 +193,20 @@ class VoteLedger:
         return self._record_one(post.round_no, post.player, post.object_id)
 
     def _record_one(self, round_no: int, player: int, obj: int) -> bool:
-        targets = self._votes_by_player[player]
         if self.mode is VoteMode.MUTABLE:
             # Latest vote is current; a repeat of the same object is a
             # no-op for the current pointer but does not add a new entry.
-            if targets and targets[-1] == obj:
+            if self._current_vote[player] == obj:
                 return False
-            targets.append(obj)
         else:
-            if len(targets) >= self.max_votes_per_player:
+            count = int(self._vote_counts[player])
+            if count >= self.max_votes_per_player:
                 return False  # excess votes are ignored by readers
-            if obj in targets:
-                return False  # duplicate vote for the same object
-            targets.append(obj)
+            if self._targets is not None:
+                row = self._targets[player]
+                if (row[:count] == obj).any():
+                    return False  # duplicate vote for the same object
+                row[count] = obj
         self._rounds.append(round_no)
         self._players.append(player)
         self._objects.append(obj)
@@ -253,8 +261,6 @@ class VoteLedger:
             self._objects.extend(eff_objects)
             self._current_vote[eff_players] = eff_objects
             self._vote_counts[eff_players] += 1
-            for p, o in zip(eff_players, eff_objects):
-                self._votes_by_player[p].append(int(o))
             self._memo.clear()
         return effective
 
@@ -267,8 +273,13 @@ class VoteLedger:
         return len(self._objects)
 
     def votes_of(self, player: int) -> Tuple[int, ...]:
-        """All effective vote targets of ``player``, in posting order."""
-        return tuple(self._votes_by_player[player])
+        """All effective vote targets of ``player``, in posting order.
+
+        A scan of the effective-vote columns: readers in the engines use
+        the vectorized queries below, and only audits ask per player.
+        """
+        mine = self._players.view() == player
+        return tuple(self._objects.view()[mine].tolist())
 
     def current_vote_array(self, before_round: Optional[int] = None) -> np.ndarray:
         """Each player's current advice target (``-1`` when none).

@@ -100,41 +100,40 @@ class FaultInjector:
         self.counts["delayed_posts"] += len(delayed)
         return delivered, dropped, delayed
 
-    def filter_post_arrays(
+    def delivery_rounds(
         self,
         round_no: int,
         players: np.ndarray,
         objects: np.ndarray,
         values: np.ndarray,
         kind: Any,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> np.ndarray:
         """Array-native :meth:`filter_posts` for one same-kind post block.
 
-        The batched engine keeps posts as parallel arrays rather than
-        entry tuples; this method makes the identical decisions from the
-        identical stream position — one ``random(len(block))`` batch,
-        then one batch of delay lengths — and queues delayed posts (as
-        tuples, in block order) in the same internal queue, so a lane's
-        fault realization is bit-for-bit the scalar engine's. Returns
-        the ``(players, objects, values)`` delivered this round.
+        Returns the round each post lands: ``round_no`` when delivered
+        now, a later round when delayed (the post is queued, as a tuple,
+        until :meth:`due_posts` releases it), ``-1`` when dropped. The
+        decisions come from the identical stream position — one
+        ``random(len(block))`` batch, then one batch of delay lengths —
+        and fill the same queue in block order, so the fault realization
+        is bit-for-bit :meth:`filter_posts`'s.
         """
         loss = self.plan.post_loss_rate
         delay = self.plan.post_delay_rate
         size = int(players.shape[0])
+        fates = np.full(size, round_no, dtype=np.int64)
         if size == 0 or (loss == 0.0 and delay == 0.0):
-            return players, objects, values
+            return fates
         u = self.rng.random(size)
         dropped = u < loss
-        delayed = ~dropped & (u < loss + delay)
-        delivered = ~dropped & ~delayed
-        n_delayed = int(np.count_nonzero(delayed))
-        if n_delayed:
-            lags = self.rng.integers(
-                1, self.plan.max_post_delay + 1, size=n_delayed
+        delayed = np.flatnonzero(~dropped & (u < loss + delay))
+        fates[dropped] = -1
+        if delayed.size:
+            fates[delayed] += self.rng.integers(
+                1, self.plan.max_post_delay + 1, size=delayed.size
             )
-            for i, lag in zip(np.flatnonzero(delayed), lags):
-                deliver_at = round_no + int(lag)
-                self._queue.setdefault(deliver_at, []).append(
+            for i in delayed.tolist():
+                self._queue.setdefault(int(fates[i]), []).append(
                     (
                         int(players[i]),
                         int(objects[i]),
@@ -143,8 +142,24 @@ class FaultInjector:
                     )
                 )
         self.counts["dropped_posts"] += int(np.count_nonzero(dropped))
-        self.counts["delayed_posts"] += n_delayed
-        return players[delivered], objects[delivered], values[delivered]
+        self.counts["delayed_posts"] += int(delayed.size)
+        return fates
+
+    def filter_post_arrays(
+        self,
+        round_no: int,
+        players: np.ndarray,
+        objects: np.ndarray,
+        values: np.ndarray,
+        kind: Any,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ``(players, objects, values)`` of a block that
+        :meth:`delivery_rounds` delivers this round (the lanes' filter)."""
+        now = (
+            self.delivery_rounds(round_no, players, objects, values, kind)
+            == round_no
+        )
+        return players[now], objects[now], values[now]
 
     def due_posts(self, round_no: int) -> List[tuple]:
         """Release the delayed posts scheduled to land this round."""

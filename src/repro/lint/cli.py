@@ -30,8 +30,8 @@ def build_parser() -> argparse.ArgumentParser:
             "determinism contract — per-file AST rules (seeded, "
             "spawn-derived rng streams; no wall-clock or hash-order "
             "dependence in engine packages) plus cross-file analysis of "
-            "rng stream flow, config-knob trios, the obs counter "
-            "registry, and batched/scalar hook parity"
+            "rng stream flow, config-knob trios, and the obs counter "
+            "registry"
         ),
     )
     parser.add_argument(

@@ -234,12 +234,12 @@ def _normalize(path: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Two-phase project analysis (RPL011–RPL014) with an incremental cache
+# Two-phase project analysis (RPL011–RPL013) with an incremental cache
 # ---------------------------------------------------------------------------
 
 #: bump together with any change to rules, summaries, or cache layout —
 #: a mismatched cache is silently discarded, never migrated
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 
 #: default on-disk cache location (gitignored; safe to delete anytime)
 DEFAULT_CACHE = ".reprolint-cache.json"
@@ -329,12 +329,11 @@ def _write_cache(
 
 def _project_phase(model: "ProjectModel") -> List[Dict[str, object]]:
     """Run the cross-file checkers; suppression-filtered plain dicts."""
-    from repro.lint.parity import check_parity
     from repro.lint.registry import check_counters, check_knobs
     from repro.lint.streamflow import check_streams
 
     out: List[Dict[str, object]] = []
-    for checker in (check_streams, check_knobs, check_counters, check_parity):
+    for checker in (check_streams, check_knobs, check_counters):
         for raw in checker(model):
             if model.is_suppressed(
                 str(raw["path"]), int(raw["line"]), str(raw["code"])
@@ -354,7 +353,7 @@ def lint_project(
 
     Phase 1 parses every file once (in parallel with ``jobs > 1``) into
     serializable summaries; phase 2 aggregates them into a
-    :class:`~repro.lint.project.ProjectModel` and runs RPL011–RPL014
+    :class:`~repro.lint.project.ProjectModel` and runs RPL011–RPL013
     over it. Both phases are cached in ``cache_path`` keyed by content
     hash, so a warm run re-parses only edited files and re-runs phase 2
     only when any summary or doc changed.

@@ -1,13 +1,13 @@
 """Phase 1 of project-wide analysis: the per-file summaries and model.
 
 The per-file rules (RPL001–RPL010) see one AST at a time; the cross-file
-families (RPL011–RPL014) need facts no single file witnesses — which
-class is whose batched twin, which ``REPRO_*`` variable has a CLI flag
-in a *different* module, which counter names the obs registry declares.
+families (RPL011–RPL013) need facts no single file witnesses — which
+``REPRO_*`` variable has a CLI flag in a *different* module, which
+counter names the obs registry declares, where an rng stream flows.
 This module extracts a compact, JSON-serializable :class:`FileSummary`
 from each parsed module (so summaries cache and pickle across worker
 processes) and aggregates them into a :class:`ProjectModel` that the
-phase-2 checkers (``streamflow``, ``registry``, ``parity``) query.
+phase-2 checkers (``streamflow``, ``registry``) query.
 
 Summaries are deliberately *plain data* (dicts/lists/strings): the
 incremental cache stores them verbatim keyed by file content hash, so a
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 #: bump when the summary extraction changes shape — invalidates caches
-SUMMARY_SCHEMA = 3
+SUMMARY_SCHEMA = 4
 
 #: markdown files folded into the model for RPL012/RPL013 docs legs
 DOC_GLOB_DIRS: Tuple[str, ...] = ("docs",)
@@ -67,7 +67,6 @@ class _SummaryVisitor(ast.NodeVisitor):
         self.path = path
         self.module = module
         self.aliases: Dict[str, str] = {}
-        self.classes: Dict[str, Dict[str, Any]] = {}
         self.functions: Dict[str, Dict[str, Any]] = {}
         self.env_vars: List[Dict[str, Any]] = []
         self.env_consts: Dict[str, str] = {}
@@ -108,33 +107,13 @@ class _SummaryVisitor(ast.NodeVisitor):
 
     # -- classes and functions -----------------------------------------
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        bases = [
-            self.resolve(_dotted(base))
-            for base in node.bases
-            if _dotted(base) is not None
-        ]
-        info: Dict[str, Any] = {
-            "line": node.lineno,
-            "bases": [b for b in bases if b is not None],
-            "methods": {},
-            "init_params": [],
-            "make_batched_returns": [],
-        }
-        self.classes[node.name] = info
         self._class_stack.append(node.name)
         self.generic_visit(node)
         self._class_stack.pop()
 
     def _handle_function(self, node: Any) -> None:
         params = [a.arg for a in node.args.args if a.arg != "self"]
-        if self._class_stack and len(self._func_stack) == 0:
-            info = self.classes[self._class_stack[-1]]
-            info["methods"][node.name] = node.lineno
-            if node.name == "__init__":
-                info["init_params"] = params
-            if node.name == "make_batched":
-                info["make_batched_returns"] = self._returned_ctors(node)
-        elif not self._class_stack and not self._func_stack:
+        if not self._class_stack and not self._func_stack:
             self.functions[node.name] = {
                 "line": node.lineno,
                 "params": params,
@@ -145,16 +124,6 @@ class _SummaryVisitor(ast.NodeVisitor):
 
     visit_FunctionDef = _handle_function
     visit_AsyncFunctionDef = _handle_function
-
-    def _returned_ctors(self, node: ast.AST) -> List[str]:
-        """Class names constructed in ``return`` statements of a method."""
-        out: List[str] = []
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Return) and isinstance(sub.value, ast.Call):
-                name = self.resolve(_dotted(sub.value.func))
-                if name is not None:
-                    out.append(name)
-        return out
 
     # -- strings, env vars, argparse, counters --------------------------
     def visit_Assign(self, node: ast.Assign) -> None:
@@ -309,7 +278,6 @@ def summarize_module(
         "path": path,
         "module": module,
         "aliases": visitor.aliases,
-        "classes": visitor.classes,
         "functions": visitor.functions,
         "env_vars": visitor.env_vars,
         "env_consts": visitor.env_consts,
@@ -364,29 +332,11 @@ def discover_doc_files(root: str = ".") -> List[str]:
 
 
 @dataclass
-class ClassRef:
-    """One class with enough context to walk the project hierarchy."""
-
-    path: str
-    module: str
-    name: str
-    info: Dict[str, Any]
-
-    @property
-    def canonical(self) -> str:
-        return f"{self.module}.{self.name}"
-
-
-@dataclass
 class ProjectModel:
     """Aggregated phase-1 facts the cross-file checkers query."""
 
     files: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     docs: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    #: canonical "module.Class" -> ClassRef
-    class_table: Dict[str, ClassRef] = field(default_factory=dict)
-    #: short class name -> canonical ids (for fallback resolution)
-    class_index: Dict[str, List[str]] = field(default_factory=dict)
 
     @classmethod
     def build(
@@ -397,75 +347,9 @@ class ProjectModel:
         model = cls()
         for summary in summaries:
             model.files[summary["path"]] = summary
-            for name, info in summary["classes"].items():
-                ref = ClassRef(
-                    path=summary["path"],
-                    module=summary["module"],
-                    name=name,
-                    info=info,
-                )
-                model.class_table[ref.canonical] = ref
-                model.class_index.setdefault(name, []).append(ref.canonical)
         for doc in doc_summaries:
             model.docs[doc["path"]] = doc
         return model
-
-    # -- class hierarchy ------------------------------------------------
-    def resolve_class(
-        self, name: str, from_summary: Optional[Dict[str, Any]] = None
-    ) -> Optional[ClassRef]:
-        """Find a class by canonical id, alias, or unique short name."""
-        if name in self.class_table:
-            return self.class_table[name]
-        short = name.split(".")[-1]
-        if from_summary is not None:
-            local = f"{from_summary['module']}.{short}"
-            if local in self.class_table:
-                return self.class_table[local]
-        candidates = self.class_index.get(short, [])
-        if len(candidates) == 1:
-            return self.class_table[candidates[0]]
-        return None
-
-    def ancestry(self, ref: ClassRef) -> List[ClassRef]:
-        """``ref`` plus every project-defined ancestor, nearest first."""
-        out: List[ClassRef] = []
-        queue: List[ClassRef] = [ref]
-        seen: Set[str] = set()
-        while queue:
-            current = queue.pop(0)
-            if current.canonical in seen:
-                continue
-            seen.add(current.canonical)
-            out.append(current)
-            summary = self.files.get(current.path)
-            for base in current.info["bases"]:
-                parent = self.resolve_class(base, summary)
-                if parent is not None:
-                    queue.append(parent)
-        return out
-
-    def base_names(self, ref: ClassRef) -> Set[str]:
-        """Short names of every (transitive) base, project or external."""
-        out: Set[str] = set()
-        for ancestor in self.ancestry(ref):
-            for base in ancestor.info["bases"]:
-                out.add(base.split(".")[-1])
-        return out
-
-    def methods_of(
-        self, ref: ClassRef, stop_at: Set[str]
-    ) -> Dict[str, Tuple[str, int]]:
-        """Methods defined by ``ref`` or project ancestors, nearest-first,
-        excluding classes whose short name is in ``stop_at`` (the
-        protocol roots whose defaults don't count as implementations)."""
-        out: Dict[str, Tuple[str, int]] = {}
-        for ancestor in self.ancestry(ref):
-            if ancestor.name in stop_at:
-                continue
-            for method, line in ancestor.info["methods"].items():
-                out.setdefault(method, (ancestor.path, line))
-        return out
 
     # -- suppression-aware emission --------------------------------------
     def is_suppressed(self, path: str, line: int, code: str) -> bool:

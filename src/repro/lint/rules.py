@@ -141,22 +141,12 @@ RULES: Dict[str, Rule] = {
             "it in docs/observability.md; an undeclared name at a call "
             "site is how a typo silently creates a parallel counter",
         ),
-        Rule(
-            "RPL014",
-            "batched-scalar-parity",
-            "batched twin's hook surface diverges from its scalar class",
-            "a class reachable via make_batched must implement the "
-            "batched counterpart of every hook its scalar twin "
-            "overrides (reset_lanes, choose_probes_batch, "
-            "handle_results_batch, on_player_restart, finished, info) "
-            "or lanes silently drop behavior the scalar engine has",
-        ),
     )
 }
 
 #: rule families evaluated over the whole project model (phase 2) rather
 #: than one file's AST; engine.py routes these to the project checkers
-PROJECT_RULES: Tuple[str, ...] = ("RPL011", "RPL012", "RPL013", "RPL014")
+PROJECT_RULES: Tuple[str, ...] = ("RPL011", "RPL012", "RPL013")
 
 #: the only numpy.random attributes that are part of the Generator-era
 #: seeding API; calling anything else on numpy.random is the legacy

@@ -318,34 +318,26 @@ class SynchronousEngine:
                 vote_mask = np.asarray(vote_mask, dtype=bool)
                 halt_mask = np.asarray(halt_mask, dtype=bool)
 
-                vote_idx = np.flatnonzero(vote_mask)
-                if vote_idx.size:
+                if vote_mask.any():
                     if obs is not None:
-                        count_votes(int(vote_idx.size))
-                    entries = [
-                        (
-                            int(probers[idx]),
-                            int(targets[idx]),
-                            float(values[idx]),
-                            PostKind.VOTE,
-                        )
-                        for idx in vote_idx
-                    ]
-                    self._post_honest(round_no, entries, faults)
+                        count_votes(int(np.count_nonzero(vote_mask)))
+                    self._post_honest(
+                        round_no,
+                        probers[vote_mask],
+                        targets[vote_mask],
+                        values[vote_mask],
+                        PostKind.VOTE,
+                        faults,
+                    )
                 if self.config.record_reports:
-                    report_idx = np.flatnonzero(~vote_mask)
-                    if report_idx.size:
+                    report_mask = ~vote_mask
+                    if report_mask.any():
                         self._post_honest(
                             round_no,
-                            [
-                                (
-                                    int(probers[idx]),
-                                    int(targets[idx]),
-                                    float(values[idx]),
-                                    PostKind.REPORT,
-                                )
-                                for idx in report_idx
-                            ],
+                            probers[report_mask],
+                            targets[report_mask],
+                            values[report_mask],
+                            PostKind.REPORT,
                             faults,
                         )
 
@@ -426,49 +418,59 @@ class SynchronousEngine:
     def _post_honest(
         self,
         round_no: int,
-        entries: list,
+        players: np.ndarray,
+        objects: np.ndarray,
+        values: np.ndarray,
+        kind: PostKind,
         faults: Optional["FaultInjector"],
     ) -> None:
-        """Append honest posts, routing them through the lossy-billboard
-        filter when faults are injected. Vote trace events are recorded
-        only for posts that actually land this round; drops and delays
-        get their own event kinds."""
-        if faults is None:
-            delivered, dropped, delayed = entries, [], []
-        else:
-            delivered, dropped, delayed = faults.filter_posts(
-                round_no, entries
+        """Append one same-kind block of honest posts, as columns,
+        routing it through the lossy-billboard decisions when faults are
+        injected. Vote trace events are recorded only for posts that
+        actually land this round; drops and delays get their own event
+        kinds."""
+        fates = None
+        landed = players, objects, values
+        if faults is not None:
+            fates = faults.delivery_rounds(
+                round_no, players, objects, values, kind
             )
-        if delivered:
-            self.board.append_many(round_no, delivered)
+            now = fates == round_no
+            landed = players[now], objects[now], values[now]
+        if landed[0].size:
+            self.board.post_block(round_no, *landed, kind)
             if self.obs is not None:
-                self.obs.counter("billboard.posts_honest").add(len(delivered))
-        if self.trace is not None:
-            for player, object_id, _value, kind in delivered:
-                if kind is PostKind.VOTE:
-                    self.trace.record(
-                        round_no,
-                        "vote",
-                        player=int(player),
-                        object=int(object_id),
-                    )
-            for player, object_id, _value, kind in dropped:
-                self.trace.record(
-                    round_no,
-                    "fault_drop",
-                    player=int(player),
-                    object=int(object_id),
-                    post_kind=kind.value,
+                self.obs.counter("billboard.posts_honest").add(
+                    int(landed[0].size)
                 )
-            for deliver_round, (player, object_id, _value, kind) in delayed:
+        if self.trace is None:
+            return
+        if kind is PostKind.VOTE:
+            for player, object_id in zip(
+                landed[0].tolist(), landed[1].tolist()
+            ):
                 self.trace.record(
-                    round_no,
-                    "fault_delay",
-                    player=int(player),
-                    object=int(object_id),
-                    post_kind=kind.value,
-                    deliver_round=deliver_round,
+                    round_no, "vote", player=player, object=object_id
                 )
+        if fates is None:
+            return
+        for i in np.flatnonzero(fates < 0).tolist():
+            self.trace.record(
+                round_no,
+                "fault_drop",
+                player=int(players[i]),
+                object=int(objects[i]),
+                post_kind=kind.value,
+            )
+        for i in np.flatnonzero(fates > round_no).tolist():
+            self.trace.record(
+                round_no,
+                "fault_delay",
+                player=int(players[i]),
+                object=int(objects[i]),
+                post_kind=kind.value,
+                deliver_round=int(fates[i]),
+            )
 
     # ------------------------------------------------------------------
     def _probe_costs(

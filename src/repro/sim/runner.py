@@ -453,19 +453,11 @@ def _lane_adversary(
 ) -> Optional["BatchedAdversary"]:
     """One scalar adversary per lane behind :class:`PerLaneAdversary`.
 
-    A group whose lanes share one factory uses the adversary's own
-    ``make_batched`` twin when its class defines one (the split-vote
-    slot allocator); a subclass never inherits its parent's twin, so it
-    runs its own scalar instances. All-``None`` lanes mean no adversary.
+    All-``None`` lanes mean no adversary.
     """
     from repro.adversaries.batched import PerLaneAdversary
 
-    template = makers[0]()
-    make_batched = vars(type(template)).get("make_batched")
-    if make_batched is not None and all(make is makers[0] for make in makers):
-        twin: "BatchedAdversary" = make_batched(template, len(makers))
-        return twin
-    adversaries = [template] + [make() for make in makers[1:]]
+    adversaries = [make() for make in makers]
     if all(adversary is None for adversary in adversaries):
         return None
     return PerLaneAdversary(adversaries)

@@ -26,6 +26,17 @@ def run_engine(adversary, n=128, alpha=0.4, beta=1 / 16, seed=7):
     return inst, engine, engine.run()
 
 
+def reset_adversary(votes_per_identity, n=32, alpha=0.5, seed=3):
+    """A split-vote adversary whose slot pool ``reset`` built."""
+    world_ss, adversary_ss = np.random.SeedSequence(seed).spawn(2)
+    inst = planted_instance(
+        n=n, m=n, beta=1 / 8, alpha=alpha, rng=np.random.default_rng(world_ss)
+    )
+    adv = SplitVoteAdversary(votes_per_identity=votes_per_identity)
+    adv.reset(inst, np.random.default_rng(adversary_ss))
+    return inst, adv
+
+
 class TestConstruction:
     def test_rejects_bad_fractions(self):
         with pytest.raises(ValueError):
@@ -57,18 +68,44 @@ class TestBudget:
 
     def test_batches_have_distinct_voters(self):
         """With votes_per_identity > 1 a threshold batch must still use
-        distinct identities (the ledger dedups same-player same-object)."""
-        adv = SplitVoteAdversary(votes_per_identity=3)
-        adv._unused = [1, 1, 1, 2, 2, 2]
-        taken = adv._take_votes(2)
-        assert taken == [1, 2]
-        assert adv._unused == [1, 1, 2, 2]
+        distinct identities (the ledger dedups same-player same-object),
+        and slots leave from the front of the pool ``reset`` built."""
+        inst, adv = reset_adversary(votes_per_identity=3)
+        pool = adv._unused.copy()
+        assert np.array_equal(
+            np.sort(pool), np.repeat(inst.dishonest_ids, 3)
+        )
+        # one short of the identity count, so the second batch straddles
+        # the seam between two copies of the permutation
+        need = inst.n_dishonest - 1
+        targets = adv.bad_object_ids()[:3]
+        actions = adv._cast(targets, need)
+        assert len(actions) == 3 * need
+        for k, obj in enumerate(targets):
+            batch = actions[k * need : (k + 1) * need]
+            voters = [a.player for a in batch]
+            assert {a.object_id for a in batch} == {int(obj)}
+            assert len(set(voters)) == need
+            assert not inst.honest_mask[voters].any()
+        assert [a.player for a in actions] == pool[: 3 * need].tolist()
+        assert np.array_equal(adv._unused, pool[3 * need :])
 
-    def test_take_votes_refuses_partial_batch(self):
-        adv = SplitVoteAdversary()
-        adv._unused = [1, 2]
-        assert adv._take_votes(3) == []
-        assert adv._unused == [1, 2]
+    def test_cast_refuses_partial_batch(self):
+        """A ``need`` above the number of identities, or above the
+        remaining pool, casts nothing and consumes nothing."""
+        inst, adv = reset_adversary(votes_per_identity=3)
+        bad = adv.bad_object_ids()
+        pool = adv._unused.copy()
+        assert adv._cast(bad[:1], inst.n_dishonest + 1) == []
+        assert np.array_equal(adv._unused, pool)
+        # drain the pool to two slots: 2 batches of every identity, then
+        # single votes
+        adv._cast(bad[:2], inst.n_dishonest)
+        adv._cast(bad[: inst.n_dishonest - 2], 1)
+        assert adv.remaining_budget == 2
+        left = adv._unused.copy()
+        assert adv._cast(bad[:1], 3) == []
+        assert np.array_equal(adv._unused, left)
 
 
 class TestEffectiveness:

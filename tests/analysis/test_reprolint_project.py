@@ -1,12 +1,11 @@
-"""Fixture tests for the cross-file rule families (RPL011–RPL014).
+"""Fixture tests for the cross-file rule families (RPL011–RPL013).
 
 Each test builds a miniature project in ``tmp_path`` and runs the full
 two-phase :func:`lint_project` over it from that directory, so the same
 code paths CI exercises — summary extraction, model build, checker,
 suppression, select filter — are the ones under test. The gate-has-teeth
-class at the bottom proves the two seeded regressions the rules were
-built for (a counter-name typo, a dropped ``on_player_restart`` twin
-hook) actually fail the CLI gate with exit code 1.
+class at the bottom proves that a seeded regression (a counter-name
+typo) actually fails the CLI gate with exit code 1.
 """
 
 import textwrap
@@ -383,158 +382,8 @@ class TestCounterRegistry:
         assert violations == []
 
 
-PARITY_BASE = """\
-class Strategy:
-    def reset(self, instance, rng):
-        pass
-
-    def on_player_restart(self, player):
-        pass
-
-
-class BatchedStrategy:
-    def reset_lanes(self, instances, rngs):
-        pass
-"""
-
-PARITY_SCALAR = """\
-from pkg.base import Strategy
-
-
-class CarefulStrategy(Strategy):
-    def choose_probes(self, round_no, view):
-        return []
-
-    def on_player_restart(self, player):
-        self.fresh = True
-
-    def make_batched(self, n_lanes):
-        from pkg.batched import BatchedCareful
-
-        return BatchedCareful(n_lanes)
-"""
-
-PARITY_TWIN_FULL = """\
-from pkg.base import BatchedStrategy
-
-
-class BatchedCareful(BatchedStrategy):
-    def choose_probes_batch(self, round_no, views):
-        return []
-
-    def on_player_restart(self, lane, player):
-        pass
-"""
-
-
-class TestBatchedParity:
-    """RPL014: make_batched twins must cover the scalar hook surface."""
-
-    def test_full_surface_passes(self, tmp_path, monkeypatch):
-        violations = run_lint(
-            tmp_path,
-            monkeypatch,
-            {
-                "pkg/base.py": PARITY_BASE,
-                "pkg/scalar.py": PARITY_SCALAR,
-                "pkg/batched.py": PARITY_TWIN_FULL,
-            },
-            select=["RPL014"],
-        )
-        assert violations == []
-
-    def test_dropped_hook_is_flagged(self, tmp_path, monkeypatch):
-        twin = PARITY_TWIN_FULL.replace(
-            "    def on_player_restart(self, lane, player):\n        pass\n",
-            "",
-        )
-        violations = run_lint(
-            tmp_path,
-            monkeypatch,
-            {
-                "pkg/base.py": PARITY_BASE,
-                "pkg/scalar.py": PARITY_SCALAR,
-                "pkg/batched.py": twin,
-            },
-            select=["RPL014"],
-        )
-        assert [v.code for v in violations] == ["RPL014"]
-        assert "on_player_restart" in violations[0].message
-        assert violations[0].path == "pkg/batched.py"
-
-    def test_unresolvable_twin_is_flagged(self, tmp_path, monkeypatch):
-        scalar = PARITY_SCALAR.replace("BatchedCareful", "BatchedGhost")
-        violations = run_lint(
-            tmp_path,
-            monkeypatch,
-            {
-                "pkg/base.py": PARITY_BASE,
-                "pkg/scalar.py": scalar,
-                "pkg/batched.py": PARITY_TWIN_FULL,
-            },
-            select=["RPL014"],
-        )
-        assert [v.code for v in violations] == ["RPL014"]
-        assert "BatchedGhost" in violations[0].message
-        assert "not a class this project defines" in violations[0].message
-
-    def test_ancestor_provided_hook_counts(self, tmp_path, monkeypatch):
-        # the PerLane* pattern: a forwarding adapter between the root and
-        # the twin provides the hooks, so the twin itself stays empty
-        adapter = """\
-        from pkg.base import BatchedStrategy
-
-
-        class PerLaneStrategy(BatchedStrategy):
-            def choose_probes_batch(self, round_no, views):
-                return []
-
-            def on_player_restart(self, lane, player):
-                pass
-
-
-        class BatchedCareful(PerLaneStrategy):
-            pass
-        """
-        violations = run_lint(
-            tmp_path,
-            monkeypatch,
-            {
-                "pkg/base.py": PARITY_BASE,
-                "pkg/scalar.py": PARITY_SCALAR,
-                "pkg/batched.py": textwrap.dedent(adapter),
-            },
-            select=["RPL014"],
-        )
-        assert violations == []
-
-    def test_protocol_default_creates_no_contract(self, tmp_path, monkeypatch):
-        # a scalar that never overrides on_player_restart itself relies
-        # on the Strategy default; the twin owes nothing for that hook
-        scalar = PARITY_SCALAR.replace(
-            "    def on_player_restart(self, player):\n"
-            "        self.fresh = True\n\n",
-            "",
-        )
-        twin = PARITY_TWIN_FULL.replace(
-            "    def on_player_restart(self, lane, player):\n        pass\n",
-            "",
-        )
-        violations = run_lint(
-            tmp_path,
-            monkeypatch,
-            {
-                "pkg/base.py": PARITY_BASE,
-                "pkg/scalar.py": scalar,
-                "pkg/batched.py": twin,
-            },
-            select=["RPL014"],
-        )
-        assert violations == []
-
-
 class TestGateHasTeethProjectRules:
-    """The two seeded regressions must fail the CLI gate, exit code 1."""
+    """A seeded regression must fail the CLI gate, exit code 1."""
 
     def write(self, tmp_path, files):
         for rel, content in files.items():
@@ -562,25 +411,3 @@ class TestGateHasTeethProjectRules:
         assert code == 1
         assert "RPL013" in out
         assert "exec.worker_losst" in out
-
-    def test_dropped_restart_hook_fails_gate(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        twin = PARITY_TWIN_FULL.replace(
-            "    def on_player_restart(self, lane, player):\n        pass\n",
-            "",
-        )
-        self.write(
-            tmp_path,
-            {
-                "pkg/base.py": PARITY_BASE,
-                "pkg/scalar.py": PARITY_SCALAR,
-                "pkg/batched.py": twin,
-            },
-        )
-        monkeypatch.chdir(tmp_path)
-        code = main(["pkg", "--no-cache"])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "RPL014" in out
-        assert "on_player_restart" in out

@@ -372,7 +372,7 @@ class TestInfrastructure:
             "RPL001", "RPL002", "RPL003", "RPL004", "RPL005",
             "RPL006", "RPL007", "RPL008", "RPL009", "RPL010",
         }
-        cross_file = {"RPL011", "RPL012", "RPL013", "RPL014"}
+        cross_file = {"RPL011", "RPL012", "RPL013"}
         assert per_file | cross_file == set(RULES)
         from repro.lint.rules import PROJECT_RULES
 

@@ -37,7 +37,7 @@ class TestRepoIsClean:
         )
 
     def test_repo_clean_under_project_rules(self):
-        # the cross-file families (RPL011-RPL014) must hold repo-wide,
+        # the cross-file families (RPL011-RPL013) must hold repo-wide,
         # not just the per-file rules lint_paths covers
         cwd = os.getcwd()
         os.chdir(ROOT)

@@ -178,3 +178,94 @@ class TestHorizons:
         vote(multi, 2, 1, 4)
         assert multi.current_vote_array(before_round=1)[1] == 3
         assert multi.current_vote_array(before_round=3)[1] == 3
+
+
+class _ReferenceLedger:
+    """The vote rules in plain Python: Figure 1's one vote per player,
+    Section 4.1's first ``f`` distinct objects, and Section 5.3's latest
+    vote, with a repeat of the current object not counted."""
+
+    def __init__(self, mode, f):
+        self.mode = mode
+        self.cap = 1 if mode is VoteMode.SINGLE else f
+        self.effective = []  # (round, player, object), in posting order
+        self.rejected = set()  # why votes did not count
+
+    def targets(self, player, before_round=None):
+        return [
+            o
+            for r, p, o in self.effective
+            if p == player and (before_round is None or r < before_round)
+        ]
+
+    def record(self, round_no, player, obj):
+        mine = self.targets(player)
+        if self.mode is VoteMode.MUTABLE:
+            why = "repeat" if mine and mine[-1] == obj else ""
+        elif len(mine) >= self.cap:
+            why = "cap"
+        else:
+            why = "repeat" if obj in mine else ""
+        if why:
+            self.rejected.add(why)
+        else:
+            self.effective.append((round_no, player, obj))
+        return not why
+
+    def current(self, player, before_round=None):
+        mine = self.targets(player, before_round)
+        if not mine:
+            return -1
+        return mine[0] if self.mode is VoteMode.MULTI else mine[-1]
+
+
+class TestAgainstReference:
+    """One interleaved random stream through ``record`` and through
+    ``record_block``: both follow the plain-Python rules."""
+
+    @pytest.mark.parametrize(
+        "mode,f",
+        [(VoteMode.SINGLE, 1), (VoteMode.MULTI, 3), (VoteMode.MUTABLE, 1)],
+    )
+    def test_record_and_record_block_follow_the_rules(self, mode, f):
+        rng = np.random.default_rng(16)
+        n, m = 12, 6
+        per_post = VoteLedger(n, m, mode=mode, max_votes_per_player=f)
+        blocked = VoteLedger(n, m, mode=mode, max_votes_per_player=f)
+        reference = _ReferenceLedger(mode, f)
+        round_no = 0
+        for _block in range(60):
+            size = int(rng.integers(1, 6))
+            players = rng.integers(0, n, size=size)
+            objects = rng.integers(0, m, size=size)
+            expected = [
+                reference.record(round_no, int(p), int(o))
+                for p, o in zip(players, objects)
+            ]
+            assert [
+                vote(per_post, round_no, int(p), int(o))
+                for p, o in zip(players, objects)
+            ] == expected
+            mask = blocked.record_block(round_no, players, objects)
+            assert mask.tolist() == expected
+            round_no += int(rng.integers(0, 2))
+            for horizon in (None, round_no, max(round_no - 3, 0)):
+                want = [reference.current(p, horizon) for p in range(n)]
+                for ledger in (per_post, blocked):
+                    assert ledger.current_vote_array(horizon).tolist() == want
+        # the stream reached every rule of its mode
+        assert reference.rejected == {
+            VoteMode.SINGLE: {"cap"},
+            VoteMode.MULTI: {"cap", "repeat"},
+            VoteMode.MUTABLE: {"repeat"},
+        }[mode]
+        some = np.array([0, 3, 7])
+        for ledger in (per_post, blocked):
+            for p in range(n):
+                assert ledger.votes_of(p) == tuple(reference.targets(p))
+            assert ledger.votes_cast_by(np.arange(n)) == len(
+                reference.effective
+            )
+            assert ledger.votes_cast_by(some) == sum(
+                len(reference.targets(int(p))) for p in some
+            )

@@ -1,6 +1,7 @@
 """Tests for the fault decision oracle."""
 
 import numpy as np
+import pytest
 
 from repro.billboard.post import PostKind
 from repro.faults import FaultInjector, FaultPlan
@@ -64,6 +65,51 @@ class TestFilterPosts:
                 round_no, entries(6)
             )
         assert a.counts == b.counts
+
+
+class TestDeliveryRounds:
+    """The array decision gives every post the fate ``filter_posts``
+    gives it from the same stream: the engine's trace events for drops
+    and delays are read off these fates."""
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            FaultPlan(crash_rate=0.2),
+            FaultPlan(post_loss_rate=0.3),
+            FaultPlan(post_loss_rate=0.25, post_delay_rate=0.35,
+                      max_post_delay=3),
+        ],
+    )
+    def test_each_post_gets_the_tuple_path_fate(self, plan):
+        tuples, arrays = make(plan, seed=5), make(plan, seed=5)
+        world = np.random.default_rng(9)
+        for round_no in range(10):
+            size = int(world.integers(0, 9))
+            players = world.integers(0, 16, size=size)
+            objects = world.integers(0, 16, size=size)
+            values = world.random(size)
+            batch = [
+                (int(p), int(o), float(v), PostKind.REPORT)
+                for p, o, v in zip(players, objects, values)
+            ]
+            delivered, dropped, delayed = tuples.filter_posts(round_no, batch)
+            fates = arrays.delivery_rounds(
+                round_no, players, objects, values, PostKind.REPORT
+            ).tolist()
+            assert [e for e, f in zip(batch, fates) if f == round_no] == (
+                delivered
+            )
+            assert [e for e, f in zip(batch, fates) if f < 0] == dropped
+            assert [
+                (f, e) for e, f in zip(batch, fates) if f > round_no
+            ] == delayed
+            assert arrays.due_posts(round_no) == tuples.due_posts(round_no)
+        assert arrays.counts == tuples.counts
+        assert arrays.pending_posts == tuples.pending_posts
+        assert (
+            arrays.rng.bit_generator.state == tuples.rng.bit_generator.state
+        )
 
 
 class TestCrashCoins:
