@@ -38,11 +38,9 @@ from repro.experiments import (
 )
 from repro.experiments.config import (
     resolve_batch_lanes,
-    resolve_executor,
     resolve_n_jobs,
     resolve_substrate,
     set_default_batch_lanes,
-    set_default_executor,
     set_default_n_jobs,
     set_default_substrate,
 )
@@ -81,21 +79,6 @@ def _add_lanes_flag(command: argparse.ArgumentParser) -> None:
         help=(
             "trials advanced in lockstep per engine batch (default: "
             "REPRO_BATCH_LANES or scalar). Never changes results."
-        ),
-    )
-
-
-def _add_executor_flag(command: argparse.ArgumentParser) -> None:
-    from repro.exec import EXECUTOR_NAMES
-
-    command.add_argument(
-        "--executor",
-        choices=list(EXECUTOR_NAMES),
-        default=None,
-        help=(
-            "execution backend for trial sweeps (default: REPRO_EXECUTOR "
-            "or the runner's choice: a local pool when --jobs asks for "
-            "one, serial otherwise). Never changes results."
         ),
     )
 
@@ -147,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--out", help="also write the table to this file")
     _add_jobs_flag(exp)
     _add_lanes_flag(exp)
-    _add_executor_flag(exp)
     _add_substrate_flag(exp)
     _add_obs_flag(exp)
 
@@ -200,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_jobs_flag(run)
     _add_lanes_flag(run)
-    _add_executor_flag(run)
     _add_substrate_flag(run)
     _add_obs_flag(run)
 
@@ -238,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--out", help="write the report here (default stdout)")
     _add_jobs_flag(rep)
     _add_lanes_flag(rep)
-    _add_executor_flag(rep)
     _add_substrate_flag(rep)
     _add_obs_flag(rep)
 
@@ -253,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=0)
     _add_jobs_flag(g)
     _add_lanes_flag(g)
-    _add_executor_flag(g)
     _add_substrate_flag(g)
     _add_obs_flag(g)
 
@@ -272,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="127.0.0.1",
         help=(
             "listening address; keep it loopback unless the network is "
-            "trusted (frames are pickles, like the exec fabric)"
+            "trusted (frames decode to builtins only, but the service "
+            "has no authentication)"
         ),
     )
     serve.add_argument(
@@ -356,8 +336,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         set_default_n_jobs(args.jobs)
     if args.batch_lanes is not None:
         set_default_batch_lanes(args.batch_lanes)
-    if args.executor is not None:
-        set_default_executor(args.executor)
     if args.substrate is not None:
         set_default_substrate(args.substrate)
     result = run_experiment(args.experiment_id, args.scale, args.seed)
@@ -407,7 +385,6 @@ def _measure_cell(args: argparse.Namespace, adversary_name: str) -> TrialResults
         config=EngineConfig(max_rounds=1_000_000),
         n_jobs=resolve_n_jobs(getattr(args, "jobs", None)),
         batch_lanes=resolve_batch_lanes(getattr(args, "batch_lanes", None)),
-        executor=resolve_executor(getattr(args, "executor", None)),
         fault_plan=_fault_plan_from(args),
         timeout=getattr(args, "timeout", None),
         checkpoint_path=getattr(args, "checkpoint", None),
@@ -481,8 +458,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         set_default_n_jobs(args.jobs)
     if args.batch_lanes is not None:
         set_default_batch_lanes(args.batch_lanes)
-    if args.executor is not None:
-        set_default_executor(args.executor)
     if args.substrate is not None:
         set_default_substrate(args.substrate)
     report = generate_report(

@@ -7,8 +7,6 @@ swallowing programming errors such as :class:`TypeError`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
-
 
 class ReproError(Exception):
     """Base class for all errors raised by the :mod:`repro` library."""
@@ -59,23 +57,6 @@ class TrialTimeoutError(SimulationError):
     trial is *deterministic* — re-running the same seed would hang the
     same way — so the runner reports it instead of retrying (retries are
     reserved for crashed pool workers, which are environmental)."""
-
-
-class ExecutorError(ReproError):
-    """An execution backend failed and exhausted its retry budget.
-
-    Carries the trials it *did* complete (``completed``, keyed by trial
-    index) so a degradation chain — socket fabric → local pool → serial
-    — resumes from partial progress instead of re-running finished work.
-    Redispatch is safe either way: trials are keyed by pre-derived seed,
-    so re-running one is bit-identical, but not re-running it is free.
-    """
-
-    def __init__(
-        self, message: str, completed: "Optional[Dict[int, Any]]" = None
-    ) -> None:
-        super().__init__(message)
-        self.completed: Dict[int, Any] = dict(completed) if completed else {}
 
 
 class CheckpointError(ReproError):

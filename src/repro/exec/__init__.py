@@ -1,59 +1,37 @@
-"""The fault-tolerant trial execution fabric.
+"""Where trials run: the serial loop or a forked process pool.
 
 ``repro.exec`` owns *where* trials run; :func:`repro.sim.runner.run_trials`
-owns *what* runs. Three backends implement the
+owns *what* runs. Two backends implement the
 :class:`~repro.exec.base.Executor` protocol:
 
 * :class:`~repro.exec.serial.SerialExecutor` — in-process, the
-  correctness reference and the terminal fallback;
+  correctness reference;
 * :class:`~repro.exec.local.LocalPoolExecutor` — the forked process
-  pool (the runner's original parallel path), with deterministic
-  broken-pool recovery;
-* :class:`~repro.exec.sockets.SocketWorkerExecutor` — TCP workers
-  (forked locally or launched externally via
-  ``python -m repro.exec.worker``), with lease-based ownership,
-  heartbeat timeouts, and exact-seed redispatch of lost chunks.
+  pool (the runner's parallel path), with deterministic broken-pool
+  recovery that finishes in-process once its retry budget is spent.
 
 Shared machinery: :class:`~repro.exec.retry.RetryPolicy` (deterministic
-capped exponential backoff), :func:`~repro.exec.base.execute_with_fallback`
-(the socket → local pool → serial degradation chain),
-:func:`~repro.exec.deadline.trial_deadline` (monotonic-deadline trial
-cancellation on any thread), and :mod:`repro.exec.chaos` (deterministic
-worker kills/stalls/partitions for testing the fabric itself).
+capped exponential backoff), :func:`~repro.exec.deadline.trial_deadline`
+(monotonic-deadline cancellation on any thread), and
+:mod:`repro.exec.protocol` (the length-prefixed frames ``repro serve``
+speaks, decoded without resolving any global).
 
-See ``docs/robustness.md`` ("The executor fabric") for the operational
-guide and ``docs/performance.md`` for the backend table.
+See ``docs/robustness.md`` ("The executor backends") for the
+operational guide and ``docs/performance.md`` for the backend table.
 """
 
-from repro.exec.base import (
-    Executor,
-    ExecutorReport,
-    build_chunks,
-    execute_with_fallback,
-)
-from repro.exec.chaos import ChaosAction, ChaosMonkey, ChaosPlan
+from repro.exec.base import Executor, ExecutorReport, build_chunks
 from repro.exec.deadline import trial_deadline
 from repro.exec.local import LocalPoolExecutor
 from repro.exec.retry import RetryPolicy
 from repro.exec.serial import SerialExecutor
-from repro.exec.sockets import SocketWorkerExecutor, fork_launcher
-
-#: the CLI/env-selectable backend names, in degradation order
-EXECUTOR_NAMES = ("socket", "local", "serial")
 
 __all__ = [
-    "ChaosAction",
-    "ChaosMonkey",
-    "ChaosPlan",
-    "EXECUTOR_NAMES",
     "Executor",
     "ExecutorReport",
     "LocalPoolExecutor",
     "RetryPolicy",
     "SerialExecutor",
-    "SocketWorkerExecutor",
     "build_chunks",
-    "execute_with_fallback",
-    "fork_launcher",
     "trial_deadline",
 ]

@@ -6,42 +6,26 @@ backend correct:
 
 * the work list is ``(trial index, pre-derived SeedSequence)`` pairs —
   seeds are derived by the runner, in trial order, before dispatch;
-* a backend may chunk, reorder, retry, or redispatch units freely,
-  because executing a unit is a pure function of its seed: any
-  execution of the same unit is bit-identical, so recovery is
-  idempotent and results are keyed by trial index with last-write-wins;
+* a backend may chunk, reorder, or retry units freely, because
+  executing a unit is a pure function of its seed: any execution of the
+  same unit is bit-identical, so recovery is idempotent and results are
+  keyed by trial index with last-write-wins;
 * results return as ``{trial index: record}`` with every pending index
-  present, or the backend raises :class:`~repro.errors.ExecutorError`
-  carrying what it did finish.
+  present.
 
 Each executor fills in an :class:`ExecutorReport` as it runs — backend
-name, worker roster, reassignment log, retry/loss tallies — which the
-runner stamps into the sweep's :class:`~repro.obs.manifest.RunManifest`
-(schema v3). Failure handling across backends is shared machinery:
-:class:`~repro.exec.retry.RetryPolicy` for budgets/backoff and
-:func:`execute_with_fallback` for the socket → local pool → serial
-degradation chain.
+name, worker roster, retry/loss tallies — which the runner stamps into
+the sweep's :class:`~repro.obs.manifest.RunManifest` (schema v3).
+Retry budgets and backoff come from the shared
+:class:`~repro.exec.retry.RetryPolicy`.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    ClassVar,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
-
-from repro.errors import ExecutorError
-from repro.obs.registry import Registry
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 #: ``(trial index, pre-derived seed sequence)`` — the dispatch unit
 #: (mirrors the runner's ``_IndexedSeed``; kept loose here so the exec
@@ -68,19 +52,17 @@ class ExecutorReport:
     ``executor`` field informationally, outside the identity verdict).
     """
 
-    #: backend that ultimately ran trials ("serial", "local", "socket")
+    #: backend that ultimately ran trials ("serial" or "local")
     backend: str = ""
-    #: logical worker ids in spawn order ("w0", "w1", ... — replacements
-    #: keep counting up)
+    #: logical worker ids in spawn order ("w0", "w1", ... — a rebuilt
+    #: pool's workers keep counting up)
     workers: List[str] = field(default_factory=list)
-    #: one entry per lease/crash reassignment:
-    #: ``{"trials": [...], "from": "w0", "to": "w2", "reason": ...}``
-    reassignments: List[Dict[str, Any]] = field(default_factory=list)
-    #: retry attempts spent (pool rebuilds, worker respawns)
+    #: retry attempts spent (pool rebuilds)
     retries: int = 0
-    #: workers lost to crashes or dropped connections
+    #: pools lost to crashed workers
     worker_losses: int = 0
-    #: backends abandoned on the way here, in order ("socket", ...)
+    #: backends abandoned on the way here (``["local"]`` once a pool
+    #: past its retry budget has handed the rest to the serial loop)
     degraded_from: List[str] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -88,7 +70,6 @@ class ExecutorReport:
         return {
             "backend": self.backend,
             "workers": list(self.workers),
-            "reassignments": [dict(r) for r in self.reassignments],
             "retries": self.retries,
             "worker_losses": self.worker_losses,
             "degraded_from": list(self.degraded_from),
@@ -103,8 +84,8 @@ class Executor(ABC):
     runner configuration to pass through to the chunk runner.
     """
 
-    #: short stable name ("serial", "local", "socket") — the CLI knob
-    #: value, the manifest ``backend`` field, and the registry label
+    #: short stable name ("serial", "local") — the ``run_trials``
+    #: ``executor=`` value and the manifest ``backend`` field
     name: ClassVar[str] = ""
 
     def __init__(self) -> None:
@@ -121,11 +102,9 @@ class Executor(ABC):
     ) -> ResultMap:
         """Execute every pending unit; return records keyed by index.
 
-        Must either complete all of ``pending`` or raise
-        :class:`~repro.errors.ExecutorError` with partial results
-        attached. ``on_chunk_done`` (the checkpoint hook) is called in
-        completion order with each chunk's pairs — including chunks
-        completed by a redispatch.
+        ``on_chunk_done`` (the checkpoint hook) is called in completion
+        order with each chunk's pairs — including chunks completed after
+        a retry or a hand-off to the in-process loop.
         """
 
     # ------------------------------------------------------------------
@@ -140,12 +119,11 @@ def build_chunks(
     chunk_size: Optional[int],
     lanes: int,
 ) -> List[List[IndexedSeed]]:
-    """Split the work list into dispatch chunks (shared by all backends).
+    """Split the work list into the pool's dispatch chunks.
 
-    The sizing rule is the pool's original heuristic — ~4 chunks per
-    worker, rounded up to whole lane groups so workers run full batches
-    — now in one place so every backend chunks identically and a chunk
-    lost on one backend maps onto the same trials on the next.
+    ~4 chunks per worker, rounded up to whole lane groups so workers run
+    full batches. A rebuilt pool re-submits the same chunks, so a retried
+    chunk replays exactly the trials its first attempt held.
     """
     lanes = max(lanes, 1)
     if chunk_size is None:
@@ -156,67 +134,3 @@ def build_chunks(
         list(pending[start : start + chunk_size])
         for start in range(0, len(pending), chunk_size)
     ]
-
-
-def execute_with_fallback(
-    chain: Sequence[Executor],
-    pending: Sequence[IndexedSeed],
-    state: Dict[str, Any],
-    *,
-    chunk_size: Optional[int] = None,
-    on_chunk_done: Optional[ChunkCallback] = None,
-    obs: Optional[Registry] = None,
-) -> Tuple[ResultMap, Executor]:
-    """Run ``pending`` through a degradation chain of executors.
-
-    Backends are tried in order; when one raises
-    :class:`~repro.errors.ExecutorError` its partial results are kept,
-    the failure is warned and counted (``exec.degraded``), and only the
-    *remaining* trials move to the next backend — no completed trial is
-    ever re-run across a degradation step (within a backend, redispatch
-    of in-flight work is the backend's own, idempotent, business).
-
-    Returns the merged results and the executor that finished the job
-    (its report gains the abandoned backends' names in
-    ``degraded_from``). The last backend's failure propagates: a chain
-    ending in :class:`~repro.exec.serial.SerialExecutor` only fails on
-    a genuine trial error, which no backend is allowed to swallow.
-    """
-    if not chain:
-        raise ExecutorError("empty executor chain")
-    results: ResultMap = {}
-    degraded_from: List[str] = []
-    remaining = list(pending)
-    for position, executor in enumerate(chain):
-        last = position == len(chain) - 1
-        executor._reset_report()
-        executor.report.degraded_from = list(degraded_from)
-        try:
-            results.update(
-                executor.run(
-                    remaining,
-                    state,
-                    chunk_size=chunk_size,
-                    on_chunk_done=on_chunk_done,
-                )
-            )
-            return results, executor
-        except ExecutorError as exc:
-            results.update(exc.completed)
-            if last:
-                raise ExecutorError(str(exc), completed=results) from exc
-            remaining = [
-                unit for unit in remaining if unit[0] not in results
-            ]
-            successor = chain[position + 1]
-            warnings.warn(
-                f"executor '{type(executor).name}' failed ({exc}); "
-                f"degrading to {type(successor).name} execution for the "
-                f"remaining {len(remaining)} trial(s)",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            if obs is not None:
-                obs.counter("exec.degraded").add()
-            degraded_from.append(type(executor).name)
-    raise ExecutorError("executor chain exhausted")  # pragma: no cover

@@ -1,17 +1,19 @@
 """Monotonic-deadline trial cancellation, off the main thread too.
 
 The first-generation per-trial timeout was a ``SIGALRM`` interval timer,
-which only works on a Unix main thread. The executor fabric runs trials
-from scheduler threads and socket workers, so the budget is now enforced
-by a single daemon *watchdog thread* watching ``time.monotonic()``
-deadlines and cancelling overdue trials in whatever thread runs them:
+which only works on a Unix main thread. Deadlines are also wanted off
+the main thread — a :class:`~repro.serve.client.ServeClient` bounds its
+reply wait on whatever thread calls it — so the budget is enforced by a
+single daemon *watchdog thread* watching ``time.monotonic()`` deadlines
+and cancelling overdue blocks in whatever thread runs them:
 
 * **main thread** — the watchdog sends ``SIGALRM`` via
   :func:`signal.pthread_kill`; the handler (installed by
   :func:`trial_deadline`, from the main thread, as CPython requires)
   raises :class:`~repro.errors.TrialTimeoutError`. Signals interrupt
   blocking syscalls, so even a sleeping trial dies on time. This covers
-  the serial path and every forked pool/socket worker.
+  the serial path, every forked pool worker, and the test suite's
+  per-test cap.
 * **any other thread** — the watchdog plants the exception with
   ``PyThreadState_SetAsyncExc``, which fires at the next bytecode
   boundary. A tight numpy loop is interrupted promptly; a thread parked
@@ -23,7 +25,7 @@ Semantics are unchanged from the SIGALRM era: the same
 inside the protected block. On runtimes with neither mechanism the
 budget is silently unenforced, exactly like the old implementation.
 
-This module owns the fabric's only ambient clock reads
+This module owns the execution layer's only ambient clock reads
 (``time.monotonic``) — which is why it lives in :mod:`repro.exec`,
 outside the determinism-critical packages reprolint's wall-clock rule
 protects. Deadlines bound *wall time*; they never feed a result.

@@ -1,35 +1,34 @@
-"""The local fork-pool executor (the runner's original parallel path).
+"""The local fork-pool executor (the runner's parallel path).
 
-Absorbs what used to be ``repro.sim.runner._run_parallel``: fan chunks
-out over a forked :class:`~concurrent.futures.ProcessPoolExecutor`,
-harvest completed chunks as they land (so checkpoints survive a later
-chunk killing its worker), and on ``BrokenProcessPool`` rebuild the
-pool and re-submit only the unfinished chunks — each chunk carries its
-pre-derived seed sequences, so a retried trial replays the exact
-stream of its first attempt. Retry budget and backoff now come from
-the shared :class:`~repro.exec.retry.RetryPolicy`; when the budget is
-spent the executor raises :class:`~repro.errors.ExecutorError` with
-its partial results, and the degradation chain (see
-:func:`~repro.exec.base.execute_with_fallback`) finishes the
-remainder serially.
+Fans chunks out over a forked
+:class:`~concurrent.futures.ProcessPoolExecutor`, harvests completed
+chunks as they land (so checkpoints survive a later chunk killing its
+worker), and on ``BrokenProcessPool`` rebuilds the pool and re-submits
+only the unfinished chunks — each chunk carries its pre-derived seed
+sequences, so a retried trial replays the exact stream of its first
+attempt. Retry budget and backoff come from the shared
+:class:`~repro.exec.retry.RetryPolicy`; once the budget is spent the
+executor warns, counts ``exec.degraded``, and finishes the unfinished
+trials with :class:`~repro.exec.serial.SerialExecutor`, the in-process
+loop it also runs when no pool is viable.
 
-Factories are closures and do not pickle; like the original, the pool
-uses the ``fork`` start method and parks the worker state in
-``repro.sim.runner._WORKER_STATE`` just before forking, so children
+Factories are closures and do not pickle, so the pool uses the ``fork``
+start method and parks the worker state in
+``repro.sim.runner._WORKER_STATE`` just before forking: children
 inherit it by memory snapshot and only seeds cross the pickle channel.
 When a pool is not viable — one job, one pending trial, or no ``fork``
-on this platform — the executor simply runs the chunks in-process, so
+on this platform — the executor runs the chunks in-process, so
 ``LocalPoolExecutor`` is safe as a default anywhere.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
-from repro.errors import ExecutorError
 from repro.exec.base import (
     ChunkCallback,
     Executor,
@@ -38,6 +37,7 @@ from repro.exec.base import (
     build_chunks,
 )
 from repro.exec.retry import RetryPolicy
+from repro.exec.serial import SerialExecutor
 
 
 class LocalPoolExecutor(Executor):
@@ -83,20 +83,11 @@ class LocalPoolExecutor(Executor):
             if on_chunk_done is not None:
                 on_chunk_done(pairs)
 
+        in_process = SerialExecutor()
         if not pool_viable:
-            # Degenerate pool: run the chunks in-process. Not an error —
-            # a 1-core host asking for the local backend should work.
-            step = lanes if lanes > 1 else 1
-            for start in range(0, len(pending), step):
-                harvest(
-                    (
-                        runner._run_chunk(
-                            list(pending[start : start + step]), state
-                        ),
-                        None,
-                    )
-                )
-            return results
+            # Degenerate pool: not an error — a 1-core host asking for
+            # the local backend should work.
+            return in_process.run(pending, state, on_chunk_done=on_chunk_done)
 
         remaining = build_chunks(pending, jobs, chunk_size, lanes)
         context = multiprocessing.get_context("fork")
@@ -133,14 +124,31 @@ class LocalPoolExecutor(Executor):
                     if obs is not None:
                         obs.counter("exec.worker_lost").add()
                     if not self.retry.allows(attempt):
-                        raise ExecutorError(
-                            f"process pool died {attempt} time(s)",
-                            completed=results,
-                        ) from None
+                        break
                     self.report.retries += 1
                     if obs is not None:
                         obs.counter("exec.retries").add()
                     self.retry.sleep(attempt)
         finally:
             runner._WORKER_STATE = previous
+        if not remaining:
+            return results
+
+        # The pool keeps dying: finish in-process. Completed trials are
+        # kept, so only the unfinished ones run again.
+        leftover = [unit for unit in pending if unit[0] not in results]
+        warnings.warn(
+            f"executor 'local' failed (process pool died {attempt} "
+            f"time(s)); degrading to serial execution for the remaining "
+            f"{len(leftover)} trial(s)",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        if obs is not None:
+            obs.counter("exec.degraded").add()
+        self.report.backend = "serial"
+        self.report.degraded_from = ["local"]
+        results.update(
+            in_process.run(leftover, state, on_chunk_done=on_chunk_done)
+        )
         return results

@@ -1,32 +1,20 @@
-"""Length-prefixed frame protocol for the socket-worker fabric.
+"""Length-prefixed frames of builtins: the wire format of ``repro serve``.
 
 One frame is a 4-byte big-endian payload length followed by a pickled
-``(kind, body)`` tuple.  Pickle keeps the protocol exact — seed
-sequences, summary rows, and :class:`~repro.sim.metrics.RunMetrics`
-records cross the wire bit-identically — at the price of trusting the
-peer: frames execute arbitrary code when unpickled.  The fabric is
-therefore **authenticated but not sandboxed**: the dispatcher generates
-a per-run secret token, every worker must present it in its ``hello``
-frame before anything else is unpickled, and the listener binds to
-loopback unless explicitly told otherwise.  Run workers only on hosts
-you would run the code on directly (the SSH use case).
-
-Frame kinds (dispatcher ⇄ worker):
-
-``hello``        worker → server: ``{"token": str, "pid": int}``
-``welcome``      server → worker: worker id, heartbeat interval, chaos
-                 assignment, optional pickled state for external workers
-``task``         server → worker: ``{"chunk_id": int, "chunk": [...]}``
-``result``       worker → server: chunk id, record pairs, obs snapshot
-``heartbeat``    worker → server: lease renewal, empty body
-``trial_error``  worker → server: a deterministic trial failure (e.g.
-                 :class:`~repro.errors.TrialTimeoutError`) to re-raise
-``bye``          server → worker: drain and exit
-``error``        either direction: human-readable refusal
+``(kind, body)`` tuple whose body holds builtins only: dicts, lists,
+tuples, str, bytes, int, float, bool and None. Pickle serializes those
+exactly and fast, but an ordinary unpickler also resolves globals, and
+a frame that names a global callable (through ``__reduce__``) runs it.
+:func:`decode_frame` therefore decodes with an unpickler whose
+``find_class`` refuses every global, so such a frame — or any frame
+holding an object of a non-builtin class — is a :class:`ProtocolError`
+and no code from the peer ever runs. The frame kinds themselves are
+defined by the service (see :mod:`repro.serve.service`).
 """
 
 from __future__ import annotations
 
+import io
 import pickle
 import socket
 import struct
@@ -42,7 +30,7 @@ _LENGTH = struct.Struct(">I")
 
 
 class ProtocolError(ReproError):
-    """A malformed, truncated, or oversized fabric frame."""
+    """A malformed, truncated, oversized, or global-naming frame."""
 
 
 class ConnectionClosed(ProtocolError):
@@ -52,8 +40,8 @@ class ConnectionClosed(ProtocolError):
 def encode_frame(kind: str, body: Any = None) -> bytes:
     """Serialize one ``(kind, body)`` frame: length header + payload.
 
-    Shared by the blocking socket fabric (:func:`send_frame`) and the
-    asyncio serving layer (:mod:`repro.serve.service` writes the encoded
+    Shared by the blocking client side (:func:`send_frame`) and the
+    asyncio service (:mod:`repro.serve.service` writes the encoded
     bytes straight to a ``StreamWriter``), so both speak the identical
     wire format.
     """
@@ -61,7 +49,7 @@ def encode_frame(kind: str, body: Any = None) -> bytes:
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"refusing to send a {len(payload)}-byte frame "
-            f"(cap {MAX_FRAME_BYTES}); chunk the work smaller"
+            f"(cap {MAX_FRAME_BYTES}); request less at once"
         )
     return _LENGTH.pack(len(payload)) + payload
 
@@ -77,10 +65,20 @@ def frame_length(header: bytes) -> int:
     return length
 
 
+class _BuiltinsOnly(pickle.Unpickler):
+    """An unpickler that resolves no global, so it can call nothing."""
+
+    def find_class(self, module: str, name: str) -> Any:
+        raise pickle.UnpicklingError(
+            f"frame names the global {module}.{name}; frames carry "
+            "builtins only"
+        )
+
+
 def decode_frame(payload: bytes) -> Tuple[str, Any]:
     """Unpickle one frame payload (the bytes after the length prefix)."""
     try:
-        kind, body = pickle.loads(payload)
+        kind, body = _BuiltinsOnly(io.BytesIO(payload)).load()
     except Exception as exc:  # unpickling failures are protocol failures
         raise ProtocolError(f"undecodable frame: {exc}") from None
     if not isinstance(kind, str):

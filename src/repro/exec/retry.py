@@ -1,16 +1,14 @@
-"""The shared retry policy: capped exponential backoff, deterministic.
+"""The retry policy: capped exponential backoff, deterministic.
 
-Before the executor fabric existed, the broken-pool recovery path in
-:mod:`repro.sim.runner` carried its own backoff arithmetic
-(``backoff_base * 2 ** (attempt - 1)``).  Every backend that retries —
-pool rebuilds after ``BrokenProcessPool``, socket-worker respawns after a
-crash — now shares this one frozen policy, so the schedule is a single
-auditable contract instead of duplicated constants.
+The local pool rebuilds itself after ``BrokenProcessPool`` on this one
+frozen policy (``backoff_base * 2 ** (attempt - 1)``, capped), so the
+schedule is a single auditable contract rather than constants inside
+the pool loop.
 
 The schedule is *deterministic by construction*: no jitter, no clock
 reads (only :func:`time.sleep`, which consumes time but never tells it).
 Two runs with the same policy retry on the same schedule, which is what
-keeps recovery behaviour reproducible in the chaos tests.
+keeps recovery behaviour reproducible in the broken-pool tests.
 """
 
 from __future__ import annotations
@@ -30,8 +28,7 @@ class RetryPolicy:
     ----------
     max_retries:
         How many retries to attempt before giving up (``0`` = never
-        retry). For the local pool this counts pool rebuilds; for the
-        socket fabric it counts replacement workers spawned.
+        retry). For the local pool this counts pool rebuilds.
     backoff_base:
         Delay before the first retry, in seconds; doubled on each
         further retry. ``0.0`` retries immediately (the tests' choice).

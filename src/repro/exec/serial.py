@@ -1,8 +1,8 @@
 """The in-process serial executor — the reference backend.
 
-Every other backend's correctness is defined as "bit-identical to
-:class:`SerialExecutor` for the same seed". It is also the terminal
-link of every degradation chain: it shares no pools, sockets, or
+The pool's correctness is defined as "bit-identical to
+:class:`SerialExecutor` for the same seed". It is also where a pool
+that keeps dying hands its unfinished trials: it shares no pools or
 processes with anything, so the only way it fails is a genuine trial
 error — which no backend is allowed to swallow.
 """
@@ -23,9 +23,8 @@ class SerialExecutor(Executor):
     """Run every trial in the calling process, in trial order.
 
     ``chunk_size`` is ignored: serial execution steps by whole lane
-    groups (``state["batch_lanes"]``), exactly like the pre-fabric
-    serial path, so obs chunk counts and checkpoint granularity are
-    unchanged for existing callers.
+    groups (``state["batch_lanes"]``): one ``runner.chunks`` count and
+    one checkpoint append per group.
     """
 
     name = "serial"

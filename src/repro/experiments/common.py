@@ -2,21 +2,17 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.adversaries.base import Adversary
 from repro.experiments.config import (
     resolve_batch_lanes,
-    resolve_executor,
     resolve_n_jobs,
     resolve_substrate,
 )
 from repro.faults.plan import FaultPlan
-
-if TYPE_CHECKING:  # type-only: the runner pulls repro.exec in already
-    from repro.exec import Executor
 from repro.sim.engine import EngineConfig
 from repro.sim.runner import TrialResults, run_trials
 from repro.strategies.base import Strategy
@@ -41,7 +37,6 @@ def measure(
     config: Optional[EngineConfig] = None,
     n_jobs: Optional[int] = None,
     batch_lanes: Optional[int] = None,
-    executor: Union[str, "Executor", None] = None,
     fault_plan: Optional[FaultPlan] = None,
     timeout: Optional[float] = None,
     checkpoint_path: Optional[str] = None,
@@ -49,12 +44,12 @@ def measure(
 ) -> TrialResults:
     """``run_trials`` with the experiment-wide defaults.
 
-    ``n_jobs=None``, ``batch_lanes=None``, ``executor=None``, and
-    ``substrate=None`` defer to the process-wide defaults (the CLI
-    ``--jobs``/``--batch-lanes``/``--executor``/``--substrate`` flags or
-    the ``REPRO_BENCH_JOBS``/``REPRO_BATCH_LANES``/``REPRO_EXECUTOR``/
-    ``REPRO_SUBSTRATE`` environment variables); results are identical
-    for every worker count, lane width, backend, and substrate.
+    ``n_jobs=None``, ``batch_lanes=None``, and ``substrate=None`` defer
+    to the process-wide defaults (the CLI ``--jobs``/``--batch-lanes``/
+    ``--substrate`` flags or the ``REPRO_BENCH_JOBS``/
+    ``REPRO_BATCH_LANES``/``REPRO_SUBSTRATE`` environment variables);
+    results are identical for every worker count, lane width, and
+    substrate.
     ``fault_plan``, ``timeout``, and ``checkpoint_path`` pass straight
     through to :func:`~repro.sim.runner.run_trials`.
     """
@@ -69,7 +64,6 @@ def measure(
         config=config,
         n_jobs=resolve_n_jobs(n_jobs),
         batch_lanes=resolve_batch_lanes(batch_lanes),
-        executor=resolve_executor(executor),
         fault_plan=fault_plan,
         timeout=timeout,
         checkpoint_path=checkpoint_path,

@@ -10,8 +10,9 @@ The Monte-Carlo worker count used by every experiment's
 ``REPRO_BENCH_JOBS`` environment variable, then serial. Parallelism never
 changes results (see :func:`repro.sim.runner.run_trials`), so the knob is
 process-wide state rather than a per-experiment parameter. The
-``batch_lanes``, ``executor``, and ``substrate`` knobs follow the same
-pattern (``REPRO_BATCH_LANES``, ``REPRO_EXECUTOR``, ``REPRO_SUBSTRATE``).
+``batch_lanes`` and ``substrate`` knobs follow the same pattern
+(``REPRO_BATCH_LANES``, ``REPRO_SUBSTRATE``). ``n_jobs`` also picks the
+backend: serial at one worker, the forked pool above.
 """
 
 from __future__ import annotations
@@ -19,21 +20,10 @@ from __future__ import annotations
 import enum
 import os
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Union,
-)
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.experiments.tables import Table
-
-if TYPE_CHECKING:  # type-only: keep the exec fabric import lazy
-    from repro.exec import Executor
 
 #: environment variable supplying the default Monte-Carlo worker count
 JOBS_ENV_VAR = "REPRO_BENCH_JOBS"
@@ -41,17 +31,12 @@ JOBS_ENV_VAR = "REPRO_BENCH_JOBS"
 #: environment variable supplying the default trial-lane batch width
 LANES_ENV_VAR = "REPRO_BATCH_LANES"
 
-#: environment variable supplying the default executor backend name
-EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
-
 #: environment variable supplying the default billboard substrate name
 SUBSTRATE_ENV_VAR = "REPRO_SUBSTRATE"
 
 _default_n_jobs: Optional[int] = None
 
 _default_batch_lanes: Optional[int] = None
-
-_default_executor: Union[str, "Executor", None] = None
 
 _default_substrate: Optional[str] = None
 
@@ -117,52 +102,6 @@ def set_default_batch_lanes(batch_lanes: Optional[int]) -> None:
 def resolve_batch_lanes(batch_lanes: Optional[int]) -> Optional[int]:
     """An explicit ``batch_lanes`` wins; ``None`` falls back to the default."""
     return default_batch_lanes() if batch_lanes is None else batch_lanes
-
-
-def default_executor() -> Union[str, "Executor", None]:
-    """The process-wide default execution backend for trial sweeps.
-
-    Resolution order: :func:`set_default_executor` override (a backend
-    name or a configured :class:`~repro.exec.base.Executor` instance),
-    then the ``REPRO_EXECUTOR`` environment variable (a backend name:
-    ``socket``, ``local``, or ``serial``), then ``None`` — the runner's
-    own choice (a local pool when ``n_jobs`` asks for one, serial
-    otherwise). Like ``n_jobs``, the backend never changes results (the
-    equivalence suite pins this), so it is process-wide state rather
-    than a per-experiment parameter.
-    """
-    if _default_executor is not None:
-        return _default_executor
-    raw = os.environ.get(EXECUTOR_ENV_VAR, "").strip()
-    if not raw:
-        return None
-    from repro.exec import EXECUTOR_NAMES
-
-    if raw not in EXECUTOR_NAMES:
-        raise ConfigurationError(
-            f"{EXECUTOR_ENV_VAR} must be one of {', '.join(EXECUTOR_NAMES)}; "
-            f"got {raw!r}"
-        )
-    return raw
-
-
-def set_default_executor(
-    executor: Union[str, "Executor", None]
-) -> None:
-    """Override the process-wide executor default (``None`` restores
-    env/runner choice). Accepts a backend name or a configured
-    :class:`~repro.exec.base.Executor` instance — the latter is how the
-    chaos harness injects a fault-injecting fabric under unmodified
-    experiment code."""
-    global _default_executor
-    _default_executor = executor
-
-
-def resolve_executor(
-    executor: Union[str, "Executor", None]
-) -> Union[str, "Executor", None]:
-    """An explicit ``executor`` wins; ``None`` falls back to the default."""
-    return default_executor() if executor is None else executor
 
 
 def default_substrate() -> Optional[str]:

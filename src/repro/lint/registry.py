@@ -7,8 +7,8 @@ text names the env var, and a ``default_*``/``resolve_*`` function that
 reads it. A knob missing a leg is the drift this rule exists to catch —
 an env var the CLI never mentions, a flag with no resolver behind it, or
 a variable no doc tells the user about. Bare env vars without the
-``*_ENV_VAR`` declaration (e.g. a worker handshake token read straight
-from ``os.environ``) only owe the documentation leg.
+``*_ENV_VAR`` declaration (read straight from ``os.environ``) only owe
+the documentation leg.
 
 RPL013 — every metric name must round-trip between three places: the
 ``obs.counter("…")``/``obs.timer("…")`` call sites in ``src/``, the

@@ -224,9 +224,9 @@ def render_summary(observations: Observations) -> str:
 #: diff verdict
 REPORTING_MANIFEST_FIELDS = ("executor", "substrate", "serving")
 
-#: counter namespaces that describe the execution fabric rather than the
-#: computation — how many workers ran, died, or were retried is
-#: environmental (a chaos-killed socket run of a seed must diff clean
+#: counter namespaces that describe the execution layer rather than the
+#: computation — how many pool workers died or were retried is
+#: environmental (a pool run of a seed that lost a worker must diff clean
 #: against its serial twin, a sparse-substrate run against its dense
 #: twin, and a served board against any admission configuration that
 #: admitted the same posts), so these never flip a diff verdict
@@ -275,9 +275,9 @@ def diff_observations(a: Observations, b: Observations) -> List[str]:
 def informational_differences(a: Observations, b: Observations) -> List[str]:
     """Differences in the reporting-only manifest fields and counters.
 
-    These describe the run's execution fabric (backend, worker roster,
-    reassignments, worker losses) — worth surfacing when two files are
-    compared, but never grounds for declaring the runs different:
+    These describe how the run executed (backend, worker roster, pool
+    rebuilds and losses, the board substrate) — worth surfacing when two
+    files are compared, but never grounds for declaring the runs different:
     :func:`diff_observations` ignores them by design.
     """
     out: List[str] = []

@@ -148,8 +148,8 @@ class RunManifest:
         string), or ``None`` when the run batched as asked — including
         every run that never asked for batching.
     executor:
-        What the execution fabric did: backend name, worker roster,
-        reassignment log, retry/loss tallies, and any degradation steps
+        What the execution backend did: backend name, worker roster,
+        retry/loss tallies, and any degradation step
         (the :class:`~repro.exec.base.ExecutorReport` dict), or
         ``None`` for artifacts that ran no trials. **Reporting, not
         identity**: two runs of the same seed on different backends
@@ -254,7 +254,7 @@ def collect_manifest(
     :func:`repro.rng.make_seed_sequence` does; ``None`` records no seed.
     ``batch_fallback_reason`` is the runner's audit of a degraded
     ``batch_lanes`` request (``None``: no degradation happened).
-    ``executor`` is the execution fabric's report dict
+    ``executor`` is the execution backend's report dict
     (:meth:`repro.exec.base.ExecutorReport.to_dict`; ``None``: no
     trials were dispatched). ``substrate`` is the billboard storage
     knob the caller requested (``None``: knob left at its default).

@@ -50,10 +50,8 @@ DECLARED_COUNTERS: FrozenSet[str] = frozenset(
         "engine.rounds",
         "engine.votes",
         "exec.degraded",
-        "exec.reassigned",
         "exec.retries",
         "exec.worker_lost",
-        "exec.workers",
         "faults.crashes",
         "faults.delayed_posts",
         "faults.dropped_posts",

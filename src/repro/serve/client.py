@@ -1,12 +1,13 @@
 """`ServeClient` — a blocking client for the billboard service.
 
-Speaks the executor fabric's frame protocol
+Speaks the service's frame protocol of builtins-only pickles
 (:func:`~repro.exec.protocol.send_frame` /
-:func:`~repro.exec.protocol.recv_frame`) over one persistent TCP
-connection, and guards every request with the fabric's monotonic
-deadline watchdog (:func:`~repro.exec.deadline.trial_deadline`) so a
-wedged service surfaces as :class:`~repro.errors.TrialTimeoutError`
-instead of a hung caller.
+:func:`~repro.exec.protocol.recv_frame`, whose decoder refuses every
+global in either direction) over one persistent TCP connection, and
+guards every request with the monotonic deadline watchdog
+(:func:`~repro.exec.deadline.trial_deadline`) so a wedged service
+surfaces as :class:`~repro.errors.TrialTimeoutError` instead of a hung
+caller.
 
 Replies map onto exceptions: a ``shed`` frame (admission control
 refused the request) raises :class:`~repro.errors.LoadShedError` with
@@ -35,7 +36,7 @@ class ServeClient:
         startup).
     timeout:
         Per-request wall-clock budget in seconds, enforced by the
-        executor fabric's deadline watchdog (``None`` disables it).
+        deadline watchdog (``None`` disables it).
     """
 
     def __init__(

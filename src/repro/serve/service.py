@@ -10,13 +10,16 @@ and serves reads from epoch-pinned
 
 Wire format
 -----------
-The *same* length-prefixed pickle frames as the executor fabric
-(:mod:`repro.exec.protocol` — :func:`~repro.exec.protocol.encode_frame`
-on the way out, :func:`~repro.exec.protocol.decode_frame` behind an
-``asyncio`` ``readexactly`` loop on the way in), and the same trust
-model: pickle executes code on unpickle, so the service binds loopback
-unless told otherwise and belongs behind the same perimeter as the
-socket workers. Request frames:
+Length-prefixed pickle frames of builtins only (:mod:`repro.exec.protocol`
+— :func:`~repro.exec.protocol.encode_frame` on the way out,
+:func:`~repro.exec.protocol.decode_frame` behind an ``asyncio``
+``readexactly`` loop on the way in). The decoder refuses every global,
+so a frame that would call something on unpickle gets an ``error``
+reply and its connection is closed; nothing from the peer runs. Bodies
+are type-checked before use, so a malformed body gets an ``error``
+reply too. Request frames over :data:`MAX_REQUEST_BYTES` are refused
+undecoded. The service has no authentication, so it binds loopback
+unless told otherwise. Request frames:
 
 ``post``      ``{"player", "object", "value", "kind"}`` — buffer a post
               stamped with the current epoch
@@ -80,6 +83,24 @@ from repro.serve.recommender import OnlineDistillRecommender
 from repro.strategies.base import StrategyContext
 
 _KINDS = {"report": PostKind.REPORT, "vote": PostKind.VOTE}
+
+#: request frames longer than this are refused before they are decoded.
+#: Requests are a few hundred bytes; the cap also bounds how deeply a
+#: frame can nest, and CPython hashes nested tuples recursively with no
+#: depth guard, so a ~200 KB frame keying a dict by a tuple nested
+#: 200,000 deep crashes the decoding process
+MAX_REQUEST_BYTES = 64 * 1024
+
+
+def _fields(kind: str, body: Any) -> Dict[str, Any]:
+    """A request body as a dict (``None`` reads as empty), or an error."""
+    if body is None:
+        return {}
+    if not isinstance(body, dict):
+        raise ConfigurationError(
+            f"{kind} body must be a dict, got {type(body).__name__}"
+        )
+    return body
 
 
 class BillboardService:
@@ -147,29 +168,35 @@ class BillboardService:
         self._pending = []
         self._c_flushes.add()
 
-    def _apply_post(self, body: Any) -> Dict[str, Any]:
+    def _apply_post(self, body: Dict[str, Any]) -> Dict[str, Any]:
         try:
             player = int(body["player"])
             object_id = int(body["object"])
             value = float(body.get("value", 1.0))
-            kind = _KINDS[str(body.get("kind", "report"))]
-        except (KeyError, TypeError, ValueError) as exc:
+            kind = body.get("kind", "report")
+            if not isinstance(kind, str) or kind not in _KINDS:
+                raise ConfigurationError(
+                    f"post kind must be one of {sorted(_KINDS)}"
+                )
+            # validate eagerly: the buffered batch must never poison an
+            # all-or-nothing append_many at flush time
+            if not 0 <= player < self.config.n_players:
+                raise ConfigurationError(
+                    f"player {player} outside [0, {self.config.n_players})"
+                )
+            if not 0 <= object_id < self.config.n_objects:
+                raise ConfigurationError(
+                    f"object {object_id} outside [0, {self.config.n_objects})"
+                )
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            # OverflowError: int(inf), float(10**400); ValueError also
+            # covers an out-of-range int too long to print
             raise ConfigurationError(f"malformed post body: {exc}") from None
-        # validate eagerly: the buffered batch must never poison an
-        # all-or-nothing append_many at flush time
-        if not 0 <= player < self.config.n_players:
-            raise ConfigurationError(
-                f"player {player} outside [0, {self.config.n_players})"
-            )
-        if not 0 <= object_id < self.config.n_objects:
-            raise ConfigurationError(
-                f"object {object_id} outside [0, {self.config.n_objects})"
-            )
         if not math.isfinite(value):
             raise ConfigurationError(f"non-finite reported value {value!r}")
-        self._pending.append((player, object_id, value, kind))
+        self._pending.append((player, object_id, value, _KINDS[kind]))
         self._c_posts.add()
-        if kind is PostKind.VOTE:
+        if kind == "vote":
             self._c_votes.add()
         if len(self._pending) >= self.config.queue_depth:
             self._flush()  # backpressure: the overflowing writer pays
@@ -191,8 +218,8 @@ class BillboardService:
         self._c_snapshots.add()
         return SnapshotView(self.board, epoch=self.epoch)
 
-    def _query(self, body: Any) -> Dict[str, Any]:
-        op = str((body or {}).get("op", "board"))
+    def _query(self, body: Dict[str, Any]) -> Dict[str, Any]:
+        op = body.get("op", "board")
         self._c_queries.add()
         if op == "scores":
             return {
@@ -201,7 +228,12 @@ class BillboardService:
                 "scores": [float(s) for s in self.recommender.scores()],
             }
         if op == "recommend":
-            k = int((body or {}).get("k", 10))
+            try:
+                k = int(body.get("k", 10))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigurationError(f"malformed recommend k: {exc}") from None
+            if k < 0:
+                raise ConfigurationError("recommend k must be >= 0")
             return {
                 "epoch": self.recommender.epoch,
                 "objects": self.recommender.recommend(k),
@@ -221,6 +253,10 @@ class BillboardService:
                 "buffered": len(self._pending),
                 "substrate": self.substrate,
             }
+        if not isinstance(op, str):
+            raise ConfigurationError(
+                f"query op must be a string, got {type(op).__name__}"
+            )
         raise ConfigurationError(f"unknown query op {op!r}")
 
     def _metrics(self) -> Dict[str, Any]:
@@ -238,16 +274,16 @@ class BillboardService:
     def _handle(self, kind: str, body: Any) -> Tuple[str, Any]:
         try:
             if kind == "post":
-                return "ok", self._apply_post(body)
+                return "ok", self._apply_post(_fields(kind, body))
             if kind == "vote":
-                payload = dict(body or {})
+                payload = dict(_fields(kind, body))
                 payload.setdefault("kind", "vote")
                 payload.setdefault("value", 1.0)
                 return "ok", self._apply_post(payload)
             if kind == "tick":
                 return "ok", self._tick()
             if kind == "query":
-                return "ok", self._query(body)
+                return "ok", self._query(_fields(kind, body))
             if kind == "metrics":
                 return "ok", self._metrics()
             if kind == "shutdown":
@@ -264,6 +300,11 @@ class BillboardService:
     ) -> Tuple[str, Any]:
         header = await reader.readexactly(HEADER_BYTES)
         payload = await reader.readexactly(frame_length(header))
+        if len(payload) > MAX_REQUEST_BYTES:
+            raise ProtocolError(
+                f"refusing a {len(payload)}-byte request frame "
+                f"(cap {MAX_REQUEST_BYTES})"
+            )
         return decode_frame(payload)
 
     async def _handle_client(

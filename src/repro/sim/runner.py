@@ -17,11 +17,10 @@ dispatch, in trial order, and results are re-assembled in trial order, so
 the aggregated arrays are bit-identical to the serial path for the same
 seed regardless of ``n_jobs`` or chunking.
 
-Execution is delegated to the pluggable fabric in :mod:`repro.exec`
-(``executor=``): the serial reference backend, the local fork pool, or
-TCP socket workers with lease-based recovery — all dispatching the same
-pre-derived seeds, so results are bit-identical regardless of where (or
-how many times, after crashes) a trial ran.
+Execution is delegated to :mod:`repro.exec` (``executor=``): the
+serial reference backend or the local fork pool, both dispatching the
+same pre-derived seeds, so results are bit-identical regardless of where
+(or how many times, after crashes) a trial ran.
 
 The runner is additionally hardened for long sweeps (see
 ``docs/robustness.md``):
@@ -29,13 +28,13 @@ The runner is additionally hardened for long sweeps (see
 * ``timeout=`` — a per-trial wall-clock cap; a hung engine raises
   :class:`~repro.errors.TrialTimeoutError` instead of stalling the
   sweep. Enforced by the monotonic-deadline watchdog in
-  :mod:`repro.exec.deadline`, on any thread and every backend.
-* crashed workers (a broken pool, a lost socket worker) are retried on
-  the shared :class:`~repro.exec.retry.RetryPolicy` backoff; a retry
-  re-dispatches the *same* pre-derived seed sequences, so retried
-  trials are bit-identical to an undisturbed run. When a backend's
-  retry budget runs out the sweep degrades down the executor chain
-  (socket → local pool → serial) rather than giving up.
+  :mod:`repro.exec.deadline`, on any thread and both backends.
+* a broken pool is rebuilt on the shared
+  :class:`~repro.exec.retry.RetryPolicy` backoff; a retry re-dispatches
+  the *same* pre-derived seed sequences, so retried trials are
+  bit-identical to an undisturbed run. When the retry budget runs out
+  the pool finishes the remaining trials in-process rather than giving
+  up.
 * ``checkpoint_path=`` — completed trials are appended to a JSONL
   checkpoint as they finish; an interrupted sweep resumes from the last
   completed chunk and produces ``per_trial`` arrays bit-identical to an
@@ -77,14 +76,7 @@ import numpy as np
 
 from repro.billboard.sparse import normalize_substrate
 from repro.errors import CheckpointError, ConfigurationError, TrialTimeoutError
-from repro.exec import (
-    Executor,
-    LocalPoolExecutor,
-    RetryPolicy,
-    SerialExecutor,
-    SocketWorkerExecutor,
-    execute_with_fallback,
-)
+from repro.exec import Executor, LocalPoolExecutor, RetryPolicy, SerialExecutor
 from repro.exec.deadline import trial_deadline as _trial_deadline
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -180,10 +172,10 @@ class TrialResults:
 # ----------------------------------------------------------------------
 # Per-trial execution
 # ----------------------------------------------------------------------
-# The per-trial wall-clock budget is enforced by the executor fabric's
-# monotonic-deadline watchdog (see :mod:`repro.exec.deadline`): same
-# TrialTimeoutError, same message, but it works off the main thread and
-# on every backend, where the old SIGALRM interval timer could not.
+# The per-trial wall-clock budget is enforced by the monotonic-deadline
+# watchdog (see :mod:`repro.exec.deadline`): same TrialTimeoutError,
+# same message, but it works off the main thread too, where the old
+# SIGALRM interval timer could not.
 
 
 def _execute_trial(
@@ -318,59 +310,32 @@ def resolve_n_jobs(n_jobs: Optional[int]) -> int:
     return n_jobs
 
 
-def _executor_chain(
+def _choose_executor(
     executor: Union[str, Executor, None],
-    executor_fallback: bool,
     jobs: int,
     retry: RetryPolicy,
     parallel_viable: bool,
-) -> List[Executor]:
-    """Resolve the ``executor=`` knob into a degradation chain.
+) -> Executor:
+    """Resolve the ``executor=`` argument into one backend.
 
-    ``None`` preserves the pre-fabric behaviour: the local fork pool
-    when one is viable (``n_jobs > 1``, more than one pending trial,
-    ``fork`` available), otherwise plain serial. Names pick a backend
-    explicitly; an :class:`~repro.exec.base.Executor` instance is used
-    as given. Unless ``executor_fallback`` is off, every chain ends in
-    :class:`~repro.exec.serial.SerialExecutor`, so a sweep survives any
-    environmental failure and only genuine trial errors abort it.
+    ``None`` picks the local fork pool when one is viable (``n_jobs >
+    1``, more than one pending trial, ``fork`` available), otherwise
+    serial. ``"serial"`` and ``"local"`` pick a backend by name; an
+    :class:`~repro.exec.base.Executor` instance is used as given.
     """
-    chain: List[Executor]
+    if isinstance(executor, Executor):
+        return executor
     if executor is None:
-        if parallel_viable:
-            chain = [LocalPoolExecutor(n_jobs=jobs, retry=retry)]
-        else:
-            chain = [SerialExecutor()]
-    elif isinstance(executor, str):
-        name = executor.strip().lower()
-        if name == "serial":
-            chain = [SerialExecutor()]
-        elif name == "local":
-            chain = [LocalPoolExecutor(n_jobs=jobs, retry=retry)]
-        elif name == "socket":
-            chain = [
-                SocketWorkerExecutor(n_workers=max(jobs, 2), retry=retry),
-                LocalPoolExecutor(n_jobs=jobs, retry=retry),
-            ]
-        else:
-            raise ConfigurationError(
-                f"unknown executor {executor!r}; choose from 'serial', "
-                "'local', 'socket', or pass an Executor instance"
-            )
-    elif isinstance(executor, Executor):
-        chain = [executor]
-        if parallel_viable and isinstance(executor, SocketWorkerExecutor):
-            chain.append(LocalPoolExecutor(n_jobs=jobs, retry=retry))
-    else:
-        raise ConfigurationError(
-            f"executor must be None, a backend name, or an Executor "
-            f"instance, got {executor!r}"
-        )
-    if not isinstance(chain[-1], SerialExecutor):
-        chain.append(SerialExecutor())
-    if not executor_fallback:
-        chain = chain[:1]
-    return chain
+        executor = "local" if parallel_viable else "serial"
+    name = executor.strip().lower() if isinstance(executor, str) else None
+    if name == "serial":
+        return SerialExecutor()
+    if name == "local":
+        return LocalPoolExecutor(n_jobs=jobs, retry=retry)
+    raise ConfigurationError(
+        f"unknown executor {executor!r}; pass None, 'serial', 'local', "
+        "or an Executor instance"
+    )
 
 
 def _run_chunk(
@@ -825,7 +790,6 @@ def run_trials(
     backoff_base: float = 0.5,
     checkpoint_path: Optional[str] = None,
     executor: Union[str, Executor, None] = None,
-    executor_fallback: bool = True,
     substrate: Optional[str] = None,
     obs: Optional[Registry] = None,
 ) -> TrialResults:
@@ -872,14 +836,15 @@ def run_trials(
         Per-trial wall-clock cap in seconds; a trial running past it
         raises :class:`~repro.errors.TrialTimeoutError` (no retry: a hung
         trial is deterministic). Enforced by the monotonic-deadline
-        watchdog (:mod:`repro.exec.deadline`) on every backend — main
-        thread, scheduler threads, forked and socket workers alike.
+        watchdog (:mod:`repro.exec.deadline`) on both backends — main
+        thread, other threads and forked pool workers alike.
     max_retries:
-        Recovery budget when workers die — pool rebuilds for the local
-        backend, replacement workers for the socket backend — before the
-        backend gives up and the degradation chain takes over. Retries
-        re-dispatch the same pre-derived seed sequences, so results stay
-        bit-identical however many retries it takes. ``max_retries`` and
+        Pool rebuilds allowed when pool workers die, before the pool
+        hands the remaining trials to the in-process loop (with a
+        warning, an ``exec.degraded`` count, and ``degraded_from:
+        ["local"]`` in the manifest). Retries re-dispatch the same
+        pre-derived seed sequences, so results stay bit-identical
+        however many retries it takes. ``max_retries`` and
         ``backoff_base`` seed the shared
         :class:`~repro.exec.retry.RetryPolicy`.
     backoff_base:
@@ -888,20 +853,13 @@ def run_trials(
     executor:
         Which execution backend runs the trials: ``None`` (the local
         fork pool when ``n_jobs`` asks for one, else serial), a backend
-        name (``"serial"``, ``"local"``, ``"socket"``), or an
-        :class:`~repro.exec.base.Executor` instance (e.g. a configured
-        :class:`~repro.exec.sockets.SocketWorkerExecutor`). Results are
-        bit-identical across all backends for the same seed; the chosen
-        backend and its worker/reassignment log are recorded in the
-        manifest's ``executor`` field.
-    executor_fallback:
-        When ``True`` (default) a failing backend degrades down the
-        chain — socket → local pool → serial — with a warning and an
-        ``exec.degraded`` counter per step, keeping partial results.
-        ``False`` runs the selected backend only and lets its
-        :class:`~repro.errors.ExecutorError` propagate (completed
-        trials are already checkpointed when ``checkpoint_path`` is
-        set, so an aborted sweep resumes cleanly).
+        name (``"serial"``, ``"local"``), or an
+        :class:`~repro.exec.base.Executor` instance (e.g. a
+        :class:`~repro.exec.local.LocalPoolExecutor` with its own
+        :class:`~repro.exec.retry.RetryPolicy`). Results are
+        bit-identical across backends for the same seed; the backend
+        and its worker roster are recorded in the manifest's
+        ``executor`` field.
     substrate:
         Post log of every scalar trial's engine: ``"dense"`` (the
         ``Post``-object :class:`~repro.billboard.board.Billboard`),
@@ -1021,9 +979,7 @@ def run_trials(
         and len(pending) > 1
         and "fork" in multiprocessing.get_all_start_methods()
     )
-    chain = _executor_chain(
-        executor, executor_fallback, jobs, retry, parallel_viable
-    )
+    chosen = _choose_executor(executor, jobs, retry, parallel_viable)
     executor_report: Optional[Dict[str, Any]] = None
     # The only timing in the runner layer: the Timer owns the clock read
     # (inside repro.obs, outside the determinism-critical packages).
@@ -1034,28 +990,16 @@ def run_trials(
     )
     with span:
         if pending:
-            if len(chain) == 1:
-                used = chain[0]
-                used._reset_report()
-                done.update(
-                    used.run(
-                        pending,
-                        state,
-                        chunk_size=chunk_size,
-                        on_chunk_done=on_chunk_done,
-                    )
-                )
-            else:
-                completed, used = execute_with_fallback(
-                    chain,
+            chosen._reset_report()
+            done.update(
+                chosen.run(
                     pending,
                     state,
                     chunk_size=chunk_size,
                     on_chunk_done=on_chunk_done,
-                    obs=registry,
                 )
-                done.update(completed)
-            executor_report = used.report.to_dict()
+            )
+            executor_report = chosen.report.to_dict()
 
     manifest = collect_manifest(
         seed=seed,

@@ -6,8 +6,24 @@ import numpy as np
 import pytest
 
 from repro.billboard.board import Billboard
+from repro.exec.deadline import trial_deadline
 from repro.strategies.base import StrategyContext
 from repro.world.generators import planted_instance
+
+#: wall-clock cap per test, in seconds: a hang fails the test with
+#: TrialTimeoutError instead of stalling the whole suite
+TEST_TIMEOUT_S = 120
+
+
+@pytest.fixture(autouse=True)
+def _fail_on_hang():
+    """Run each test under the deadline watchdog (no plugin needed).
+
+    On the main thread the watchdog signals SIGALRM, which interrupts
+    sleeps and blocking waits as well as busy loops.
+    """
+    with trial_deadline(TEST_TIMEOUT_S):
+        yield
 
 
 @pytest.fixture

@@ -1,1 +1,1 @@
-"""Tests for the fault-tolerant trial execution fabric (repro.exec)."""
+"""Tests for the trial execution backends and frames (repro.exec)."""

@@ -1,9 +1,9 @@
-"""Shared fixtures for the executor-fabric tests.
+"""Shared fixtures for the executor-backend tests.
 
 Same rationale as the simulation-layer conftest: ``resolve_n_jobs``
 degrades oversized pools to the host's core count, so on a small CI box
 every multi-worker test would silently run serial. Pin a roomy fake
-core count so pool and socket tests always exercise real concurrency.
+core count so pool tests always exercise real concurrency.
 """
 
 import os

@@ -1,17 +1,6 @@
-"""Executor protocol machinery: chunking, reports, the fallback chain."""
+"""Executor protocol machinery: chunking and reports."""
 
-import warnings
-
-import pytest
-
-from repro.errors import ExecutorError
-from repro.exec import (
-    Executor,
-    ExecutorReport,
-    build_chunks,
-    execute_with_fallback,
-)
-from repro.obs.registry import Registry
+from repro.exec import ExecutorReport, build_chunks
 
 
 def units(count):
@@ -46,103 +35,15 @@ class TestBuildChunks:
 
 class TestExecutorReport:
     def test_to_dict_is_stable_and_copied(self):
-        report = ExecutorReport(backend="socket")
+        report = ExecutorReport(backend="local")
         report.workers.append("w0")
-        report.reassignments.append(
-            {"trials": [3], "from": "w0", "to": "w1", "reason": "worker_lost"}
-        )
         payload = report.to_dict()
         assert payload == {
-            "backend": "socket",
+            "backend": "local",
             "workers": ["w0"],
-            "reassignments": [
-                {
-                    "trials": [3],
-                    "from": "w0",
-                    "to": "w1",
-                    "reason": "worker_lost",
-                }
-            ],
             "retries": 0,
             "worker_losses": 0,
             "degraded_from": [],
         }
         payload["workers"].append("w9")
         assert report.workers == ["w0"]  # to_dict copies, never aliases
-
-
-# ----------------------------------------------------------------------
-class FakeExecutor(Executor):
-    """Completes the first ``finish`` units, then fails (or finishes)."""
-
-    name = "fake"
-
-    def __init__(self, finish=None, error=None):
-        super().__init__()
-        self.finish = finish
-        self.error = error
-        self.calls = 0
-
-    def run(self, pending, state, *, chunk_size=None, on_chunk_done=None):
-        self.calls += 1
-        take = len(pending) if self.finish is None else self.finish
-        completed = {index: f"{self.name}:{index}" for index, _ in pending[:take]}
-        if self.error is not None:
-            raise ExecutorError(self.error, completed=completed)
-        return completed
-
-
-class TestExecuteWithFallback:
-    def test_first_success_short_circuits(self):
-        first, second = FakeExecutor(), FakeExecutor()
-        results, used = execute_with_fallback(
-            [first, second], units(4), {}
-        )
-        assert used is first
-        assert second.calls == 0
-        assert sorted(results) == [0, 1, 2, 3]
-
-    def test_partial_results_survive_degradation(self):
-        flaky = FakeExecutor(finish=2, error="boom")
-        backup = FakeExecutor()
-        with pytest.warns(RuntimeWarning, match="degrading to fake"):
-            results, used = execute_with_fallback(
-                [flaky, backup], units(5), {}
-            )
-        assert used is backup
-        # 0 and 1 kept from the flaky backend, only 2..4 re-dispatched
-        assert results[0] == "fake:0"
-        assert sorted(results) == [0, 1, 2, 3, 4]
-        assert used.report.degraded_from == ["fake"]
-
-    def test_degradations_are_counted(self):
-        registry = Registry()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            execute_with_fallback(
-                [FakeExecutor(finish=0, error="a"), FakeExecutor()],
-                units(3),
-                {},
-                obs=registry,
-            )
-        assert registry.counters()["exec.degraded"] == 1
-
-    def test_last_failure_propagates_with_merged_results(self):
-        first = FakeExecutor(finish=1, error="first down")
-        second = FakeExecutor(finish=1, error="second down")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(ExecutorError) as info:
-                execute_with_fallback([first, second], units(4), {})
-        # everything either backend completed rides on the final error
-        assert sorted(info.value.completed) == [0, 1]
-
-    def test_empty_chain_rejected(self):
-        with pytest.raises(ExecutorError, match="empty"):
-            execute_with_fallback([], units(1), {})
-
-    def test_reports_reset_between_sweeps(self):
-        executor = FakeExecutor()
-        executor.report.workers.append("stale")
-        execute_with_fallback([executor], units(2), {})
-        assert executor.report.workers == []

@@ -168,29 +168,23 @@ class TestExecutorFieldIsReportingOnly:
         return Observations(manifest=manifest, counters={"engine.rounds": 3})
 
     def test_backend_difference_is_not_an_identity_diff(self):
-        serial = self._observations(
-            {"backend": "serial", "workers": [], "reassignments": []}
+        serial = self._observations({"backend": "serial", "workers": []})
+        pool = self._observations(
+            {"backend": "local", "workers": ["w0", "w1"], "retries": 1}
         )
-        socket = self._observations(
-            {
-                "backend": "socket",
-                "workers": ["w0", "w1"],
-                "reassignments": [{"trials": [3]}],
-            }
-        )
-        assert diff_observations(serial, socket) == []
+        assert diff_observations(serial, pool) == []
 
     def test_backend_difference_is_reported_informationally(self):
         serial = self._observations({"backend": "serial"})
-        socket = self._observations({"backend": "socket"})
-        notes = informational_differences(serial, socket)
+        pool = self._observations({"backend": "local"})
+        notes = informational_differences(serial, pool)
         assert len(notes) == 1
         assert "manifest.executor" in notes[0]
         assert "reporting only" in notes[0]
 
     def test_identical_executors_have_no_notes(self):
-        a = self._observations({"backend": "socket"})
-        b = self._observations({"backend": "socket"})
+        a = self._observations({"backend": "local"})
+        b = self._observations({"backend": "local"})
         assert informational_differences(a, b) == []
 
     def test_real_differences_still_flagged(self):
@@ -200,7 +194,7 @@ class TestExecutorFieldIsReportingOnly:
         b = Observations(
             manifest=replace(
                 collect_manifest(seed=6),
-                executor={"backend": "socket"},
+                executor={"backend": "local"},
             ),
             counters={"engine.rounds": 4},
         )
@@ -210,30 +204,30 @@ class TestExecutorFieldIsReportingOnly:
         assert "manifest.executor" not in report
 
     def test_exec_counters_are_not_an_identity_diff(self):
-        """A serial run records no exec.* counters; a socket run records
-        its worker roster and losses. Same computation, so no verdict."""
+        """A serial run records no exec.* counters; a pool run that lost
+        a worker records the loss and the rebuild. Same computation, so
+        no verdict."""
         serial = self._observations({"backend": "serial"})
-        socket = Observations(
+        pool = Observations(
             manifest=serial.manifest,
             counters={
                 "engine.rounds": 3,
-                "exec.workers": 2,
                 "exec.worker_lost": 1,
-                "exec.reassigned": 1,
+                "exec.retries": 1,
             },
         )
-        assert diff_observations(serial, socket) == []
-        notes = "\n".join(informational_differences(serial, socket))
-        assert "counter exec.workers (reporting only)" in notes
+        assert diff_observations(serial, pool) == []
+        notes = "\n".join(informational_differences(serial, pool))
         assert "counter exec.worker_lost (reporting only)" in notes
+        assert "counter exec.retries (reporting only)" in notes
 
     def test_non_exec_counter_differences_still_flag(self):
         a = self._observations({"backend": "serial"})
         b = Observations(
             manifest=a.manifest,
-            counters={"engine.rounds": 3, "exec.workers": 2,
+            counters={"engine.rounds": 3, "exec.worker_lost": 1,
                       "trial.completed": 9},
         )
         report = "\n".join(diff_observations(a, b))
         assert "counter trial.completed" in report
-        assert "exec.workers" not in report
+        assert "exec.worker_lost" not in report

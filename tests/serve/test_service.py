@@ -1,6 +1,8 @@
 """BillboardService integration: the full socket round trip."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, LoadShedError
 from repro.obs.manifest import SCHEMA_VERSION
@@ -14,7 +16,26 @@ from repro.serve import (
     resolve_serve_rate,
     set_default_serve_port,
 )
-from repro.serve.service import ServiceThread
+from repro.serve.service import (
+    MAX_REQUEST_BYTES,
+    BillboardService,
+    ServiceThread,
+)
+
+#: calls made by :func:`_record_call`; a decoder that resolved globals
+#: would append here while unpickling a request
+CALLS = []
+
+
+def _record_call(*args):
+    CALLS.append(args)
+
+
+class _CallsOnUnpickle:
+    """Pickles as "call ``_record_call`` while decoding me"."""
+
+    def __reduce__(self):
+        return (_record_call, ("unpickled",))
 
 
 @pytest.fixture()
@@ -97,10 +118,82 @@ class TestServiceRoundTrip:
                 client.request("query", {"op": "bogus"})
             with pytest.raises(ConfigurationError, match="unknown request"):
                 client.request("frobnicate")
+            for kind, body in [
+                ("query", ["op", "board"]),
+                ("query", "board"),
+                ("vote", [0, 0]),
+            ]:
+                with pytest.raises(ConfigurationError, match="must be a dict"):
+                    client.request(kind, body)
+            with pytest.raises(ConfigurationError, match="recommend k"):
+                client.request("query", {"op": "recommend", "k": "a"})
+            with pytest.raises(ConfigurationError, match=">= 0"):
+                client.request("query", {"op": "recommend", "k": -3})
+            with pytest.raises(ConfigurationError, match="malformed post"):
+                client.request("vote", {"player": float("inf"), "object": 0})
+            with pytest.raises(ConfigurationError, match="malformed post"):
+                client.request(
+                    "post", {"player": 0, "object": 0, "value": 10**400}
+                )
             # the connection survives errors and rejected posts leave
             # no trace on the board
             client.tick()
             assert client.board()["posts"] == 0
+
+    def test_frame_naming_a_global_is_refused(self, served):
+        host, port = served.address
+        with ServeClient(host, port) as client:
+            client.vote(0, 0)
+            client.tick()
+            with pytest.raises(ConfigurationError, match="global"):
+                client.request(
+                    "query", {"op": "board", "extra": _CallsOnUnpickle()}
+                )
+        assert CALLS == []
+        # the service keeps serving, and its board is unchanged
+        with ServeClient(host, port) as fresh:
+            board = fresh.board()
+            assert board["posts"] == 1 and board["epoch"] == 1
+            assert fresh.counts()["counts"][0] == 1
+
+    def test_oversized_request_is_refused_undecoded(self, served):
+        host, port = served.address
+        with ServeClient(host, port) as client:
+            with pytest.raises(ConfigurationError, match="cap"):
+                client.request(
+                    "query", {"op": "board", "pad": "x" * MAX_REQUEST_BYTES}
+                )
+        with ServeClient(host, port) as fresh:
+            assert fresh.board()["posts"] == 0
+
+
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8)
+    | st.binary(max_size=8)
+)
+_KEYS = st.sampled_from(["player", "object", "value", "kind", "op", "k"])
+_BODIES = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(_KEYS | st.text(max_size=4), inner, max_size=5),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["post", "vote", "query"]), body=_BODIES)
+def test_handle_answers_any_builtin_body(kind, body):
+    """Whatever builtins a body decodes to, the handler answers ``ok``
+    or ``error`` with a dict and never raises."""
+    service = BillboardService(ServeConfig(n_players=8, n_objects=4))
+    reply_kind, reply_body = service._handle(kind, body)
+    assert reply_kind in ("ok", "error")
+    assert isinstance(reply_body, dict)
 
 
 class TestBackpressure:

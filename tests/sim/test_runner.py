@@ -463,6 +463,32 @@ class TestBrokenPoolRecovery:
                 degraded.per_trial[key], clean.per_trial[key]
             ), key
 
+    def test_each_trial_checkpointed_once_after_a_crash(self, tmp_path):
+        """A rebuilt pool re-submits only unharvested chunks, so the
+        checkpoint hook sees each trial exactly once even when a worker
+        died mid-sweep."""
+        import json
+        import os
+
+        flag = str(tmp_path / "crashed.flag")
+        path = str(tmp_path / "sweep.ckpt")
+        run_trials(
+            self._crash_once_factory(flag),
+            TrivialStrategy,
+            n_trials=8,
+            seed=11,
+            n_jobs=2,
+            chunk_size=2,
+            max_retries=2,
+            backoff_base=0.0,
+            checkpoint_path=path,
+        )
+        assert os.path.exists(flag)  # the crash really happened
+        with open(path) as handle:
+            lines = [json.loads(line) for line in handle if line.strip()]
+        indexes = [entry["index"] for entry in lines[1:]]  # line 1: header
+        assert sorted(indexes) == list(range(8))
+
     def test_negative_max_retries_rejected(self):
         with pytest.raises(ConfigurationError, match="max_retries"):
             run_trials(

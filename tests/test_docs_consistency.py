@@ -180,11 +180,6 @@ class TestCliFlagsPinned:
 
         return _flatten_flags(_collect_parser(build_parser()))
 
-    def _worker_flags(self):
-        from repro.exec.worker import build_parser
-
-        return _flatten_flags(_collect_parser(build_parser()))
-
     @staticmethod
     def _line_flags(line):
         for token in line.split():
@@ -224,12 +219,8 @@ class TestCliFlagsPinned:
 
     def test_inline_code_flags_exist_somewhere(self):
         """Flags cited in prose (`--jobs K`, `--obs-out`, …) must exist
-        on some parser — the repro CLI, reprolint, or the exec worker."""
-        known = (
-            _flatten_flags(self._repro_tree())
-            | self._lint_flags()
-            | self._worker_flags()
-        )
+        on some parser — the repro CLI or reprolint."""
+        known = _flatten_flags(self._repro_tree()) | self._lint_flags()
         pattern = re.compile(r"`(--[a-z][a-z0-9-]*)(?:=[^`]*| [A-Z]+)?`")
         for path, text in doc_texts():
             for flag in pattern.findall(text):
