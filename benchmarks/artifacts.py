@@ -1,10 +1,9 @@
 """Benchmark artifact locations.
 
-``BENCH_*.json`` trajectory files are the repo's performance record. The
-canonical copy lives at the **repo root** — next to README.md, where the
-performance tables cite it and CI uploads it — and a second copy is kept
-under ``benchmarks/results/`` so the artifact directory that archives the
-experiment tables stays complete.
+``BENCH_*.json`` trajectory files are the repo's performance record. Each
+is written once, at the **repo root** — next to README.md, where the
+performance tables cite it and CI uploads it. (``benchmarks/results/``
+holds the experiment tables, not these files.)
 
 Every artifact written here carries an embedded ``manifest`` key — a
 :class:`~repro.obs.manifest.RunManifest` whose ``config_hash`` is taken
@@ -21,24 +20,20 @@ from typing import Any, Dict
 
 BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 REPO_ROOT = os.path.dirname(BENCH_DIR)
-RESULTS_DIR = os.path.join(BENCH_DIR, "results")
 
 
 def write_bench_json(name: str, data: Dict[str, Any]) -> str:
-    """Write one ``BENCH_*.json`` to the repo root and the results dir.
+    """Write one ``BENCH_*.json`` to the repo root; return its path.
 
     A ``manifest`` provenance record is embedded into the payload (the
-    caller's ``data`` mapping is not mutated). Returns the canonical
-    (repo-root) path.
+    caller's ``data`` mapping is not mutated).
     """
     from repro.obs.manifest import collect_manifest
 
     payload = dict(data)
     payload["manifest"] = collect_manifest(config_payload=data).to_dict()
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    root_path = os.path.join(REPO_ROOT, name)
-    for path in (root_path, os.path.join(RESULTS_DIR, name)):
-        with open(path, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-    return root_path
+    path = os.path.join(REPO_ROOT, name)
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
+    return path

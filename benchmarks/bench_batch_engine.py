@@ -14,8 +14,7 @@ Three trajectories, all with ``n_jobs=1``:
 ``K=1`` is the scalar engine — the pinned reference — and every batched
 run is asserted bit-identical to it (per-trial summaries, and for the
 grid every cell against its standalone run) before any speedup is
-reported. Results go to ``BENCH_batch.json`` at the repo root (copy
-under ``benchmarks/results/``).
+reported. Results go to ``BENCH_batch.json`` at the repo root.
 
 Unlike the process-pool axis (``BENCH_runner.json``), the lane axis is
 *core-count independent*: the win comes from amortizing the Python round

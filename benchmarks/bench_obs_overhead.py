@@ -15,8 +15,8 @@ adaptive split-vote adversary at ``n = m``, ``beta = 1/n``), three ways:
 
 Each variant runs ``REPEATS`` times and the *minimum* is compared (the
 standard way to de-noise a throughput measurement on a shared box).
-Results go to ``BENCH_obs.json`` at the repo root (copy under
-``benchmarks/results/``), manifest embedded like every bench artifact.
+Results go to ``BENCH_obs.json`` at the repo root, manifest embedded
+like every bench artifact.
 
 Run directly (``python benchmarks/bench_obs_overhead.py``) or through
 pytest; ``REPRO_BENCH_SCALE=smoke`` shrinks the cell for CI smoke jobs.

@@ -1,7 +1,6 @@
 """Runner and substrate scaling benchmark — the repo's perf trajectory.
 
-Three measurements, recorded into ``BENCH_runner.json`` at the repo root
-(with a copy under ``benchmarks/results/``):
+Three measurements, recorded into ``BENCH_runner.json`` at the repo root:
 
 1. **Runner scaling** — a representative E3 cell (DISTILL vs the adaptive
    split-vote adversary at ``beta = 1/n``) timed serially and with a

@@ -1,7 +1,6 @@
 """Million-player scale benchmark — dense vs sparse substrate memory.
 
-Records ``BENCH_scale.json`` at the repo root (with a copy under
-``benchmarks/results/``): an E3-style sweep (DISTILL vs the adaptive
+Records ``BENCH_scale.json`` at the repo root: an E3-style sweep (DISTILL vs the adaptive
 split-vote adversary at ``beta = 1/n``, ``m = n``) over player counts,
 run once per substrate, measuring **incremental peak RSS** and rounds
 per second for each cell.

@@ -1,12 +1,12 @@
 """Serving-layer latency benchmark — the billboard under live traffic.
 
-Records ``BENCH_serve.json`` at the repo root (with a copy under
-``benchmarks/results/``): a :class:`~repro.serve.service.BillboardService`
-subprocess (started exactly as an operator would, ``repro serve
---port 0``) is driven by a deterministic mixed workload — **80% reads /
-20% writes** — from concurrent client connections, and per-request
-wall-clock latencies are folded into p50/p99 plus a posts-per-second
-write throughput figure.
+Records ``BENCH_serve.json`` at the repo root: a
+:class:`~repro.serve.service.BillboardService` subprocess (started
+exactly as an operator would, ``repro serve --port 0``) is driven by a
+deterministic mixed workload — **80% reads / 20% writes** — from
+concurrent client connections, and per-request wall-clock latencies
+are folded into p50/p99 plus a posts-per-second write throughput
+figure.
 
 Methodology
 -----------

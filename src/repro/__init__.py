@@ -38,7 +38,14 @@ from repro.baselines import (
     FullCooperationStrategy,
     TrivialStrategy,
 )
-from repro.billboard import Billboard, BillboardView, Post, PostKind, VoteMode
+from repro.billboard import (
+    Billboard,
+    BillboardView,
+    Post,
+    PostBlock,
+    PostKind,
+    VoteMode,
+)
 from repro.core import (
     AlphaDoublingStrategy,
     DistillHPStrategy,
@@ -84,7 +91,6 @@ from repro.sim import (
     SynchronousEngine,
     Trace,
     TrialResults,
-    VoteAction,
     run_trials,
 )
 from repro.strategies import Strategy, StrategyContext
@@ -96,7 +102,7 @@ from repro.world import (
     valued_instance,
 )
 
-__version__ = "1.8.0"
+__version__ = "1.16.0"
 
 __all__ = [
     "Adversary",
@@ -127,6 +133,7 @@ __all__ = [
     "ObjectSpace",
     "PerStepAdapter",
     "Post",
+    "PostBlock",
     "PostKind",
     "PricedEngine",
     "RandomSchedule",
@@ -152,7 +159,6 @@ __all__ = [
     "Trace",
     "TrialResults",
     "TrivialStrategy",
-    "VoteAction",
     "VoteMode",
     "available_adversaries",
     "cost_class_instance",

@@ -8,20 +8,20 @@ in lanes as one scalar instance per lane behind
 lane-only twin, so a lane runs exactly the scalar engine's adversary
 code (the split-vote slot allocator included).
 
-Equivalence contract: per lane, the rng draw sequence and the emitted
-actions are exactly the scalar adversary's for the same instance and
+Equivalence contract: per lane, the rng draw sequence and the posted
+blocks are exactly the scalar adversary's for the same instance and
 stream.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.adversaries.base import Adversary
+from repro.billboard.post import PostBlock
 from repro.billboard.views import BillboardView
-from repro.sim.actions import VoteAction
 from repro.world.instance import Instance
 
 
@@ -39,8 +39,9 @@ class BatchedAdversary:
 
     def act(
         self, lane: int, round_no: int, view: BillboardView
-    ) -> List[VoteAction]:
-        """Votes lane ``lane``'s dishonest players cast this round."""
+    ) -> Optional[PostBlock]:
+        """The posts lane ``lane``'s dishonest players make this round,
+        or ``None``."""
         raise NotImplementedError
 
 
@@ -51,7 +52,7 @@ class PerLaneAdversary(BatchedAdversary):
     draw sequences are trivially identical to the scalar engine's.
     Grid-packed batches (:func:`~repro.sim.runner.run_trial_grid`) may
     mix lanes from cells with different adversaries — including cells
-    with none at all: ``None`` lanes are inert, emitting no actions and
+    with none at all: ``None`` lanes are inert, posting nothing and
     never touching their pinned adversary stream, exactly like a scalar
     run with ``adversary=None``.
     """
@@ -74,9 +75,9 @@ class PerLaneAdversary(BatchedAdversary):
 
     def act(
         self, lane: int, round_no: int, view: BillboardView
-    ) -> List[VoteAction]:
+    ) -> Optional[PostBlock]:
         adversary = self._adversaries[lane]
         if adversary is None:
-            return []
+            return None
         return adversary.act(round_no, view)
 

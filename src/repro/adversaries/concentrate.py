@@ -14,14 +14,14 @@ adversary can afford at most 2 bad objects in ``C_3`` — hence the paper's
 
 from __future__ import annotations
 
-from typing import List
+from typing import Optional
 
 import numpy as np
 
 from repro.adversaries.base import Adversary
+from repro.billboard.post import PostBlock
 from repro.billboard.views import BillboardView
 from repro.errors import ConfigurationError
-from repro.sim.actions import VoteAction
 from repro.world.instance import Instance
 
 
@@ -64,28 +64,19 @@ class ConcentrateAdversary(Adversary):
         super().reset(instance, rng)
         self._fired = False
 
-    def act(self, round_no: int, view: BillboardView) -> List[VoteAction]:
+    def act(self, round_no: int, view: BillboardView) -> Optional[PostBlock]:
         if self._fired or round_no < self.at_round:
-            return []
+            return None
         self._fired = True
         bad = self.bad_object_ids()
         budget = int(self.dishonest_ids.size)
         if bad.size == 0 or budget == 0:
-            return []
+            return None
         n_targets = min(self.n_targets, bad.size)
         votes_each = self.votes_each
         if votes_each is None:
             votes_each = max(1, budget // n_targets)
         targets = self.rng.choice(bad, size=n_targets, replace=False)
-        actions: List[VoteAction] = []
-        voters = iter(self.dishonest_ids)
-        for obj in targets:
-            for _ in range(votes_each):
-                try:
-                    player = next(voters)
-                except StopIteration:
-                    return actions
-                actions.append(
-                    VoteAction(player=int(player), object_id=int(obj))
-                )
-        return actions
+        # identities in order, votes_each per target, until they run out
+        objects = np.repeat(targets, min(votes_each, budget))[:budget]
+        return PostBlock.votes(self.dishonest_ids[: objects.size], objects)

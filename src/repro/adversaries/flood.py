@@ -12,13 +12,13 @@ threshold as well.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Optional
 
 import numpy as np
 
 from repro.adversaries.base import Adversary
+from repro.billboard.post import PostBlock
 from repro.billboard.views import BillboardView
-from repro.sim.actions import VoteAction
 from repro.world.instance import Instance
 
 
@@ -31,18 +31,13 @@ class FloodAdversary(Adversary):
         super().reset(instance, rng)
         self._fired = False
 
-    def act(self, round_no: int, view: BillboardView) -> List[VoteAction]:
+    def act(self, round_no: int, view: BillboardView) -> Optional[PostBlock]:
         if self._fired:
-            return []
+            return None
         self._fired = True
         bad = self.bad_object_ids()
-        if bad.size == 0:
-            return []
+        if bad.size == 0 or self.dishonest_ids.size == 0:
+            return None
         targets = self.rng.permutation(bad)
-        return [
-            VoteAction(
-                player=int(player),
-                object_id=int(targets[i % targets.size]),
-            )
-            for i, player in enumerate(self.dishonest_ids)
-        ]
+        spread = np.arange(self.dishonest_ids.size) % targets.size
+        return PostBlock.votes(self.dishonest_ids, targets[spread])

@@ -20,14 +20,14 @@ whenever reality diverges.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.adversaries.base import Adversary
+from repro.billboard.post import PostBlock
 from repro.billboard.views import BillboardView
 from repro.core.parameters import DistillParameters
-from repro.sim.actions import VoteAction
 from repro.world.instance import Instance
 
 
@@ -58,10 +58,10 @@ class ObliviousSplitVoteAdversary(Adversary):
     # ------------------------------------------------------------------
     def reset(self, instance: Instance, rng: np.random.Generator) -> None:
         super().reset(instance, rng)
-        self._schedule: Dict[int, List[VoteAction]] = {}
+        self._schedule: Dict[int, PostBlock] = {}
         bad = self.bad_object_ids()
-        voters = list(self.rng.permutation(self.dishonest_ids))
-        if bad.size == 0 or not voters:
+        voters = self.rng.permutation(self.dishonest_ids)
+        if bad.size == 0 or voters.size == 0:
             return
 
         n = instance.n
@@ -71,32 +71,30 @@ class ObliviousSplitVoteAdversary(Adversary):
         len_s13 = 2 * self.params.step13_invocations(instance.alpha)
         len_iter = 2 * self.params.iteration_invocations(instance.alpha)
 
-        def take(count: int) -> List[int]:
-            nonlocal voters
-            if len(voters) < count:
-                return []
-            batch, voters = voters[:count], voters[count:]
-            return [int(p) for p in batch]
-
         def cast(round_no: int, targets: np.ndarray, need: int) -> None:
-            for obj in targets:
-                batch = take(need)
-                if not batch:
-                    return
-                self._schedule.setdefault(round_no, []).extend(
-                    VoteAction(player=p, object_id=int(obj)) for p in batch
-                )
+            """``need`` votes for each target in turn, from the front of
+            the voters, while a whole batch is left. The windows start at
+            least two rounds apart, so each round gets one block."""
+            nonlocal voters
+            n_batches = min(len(targets), voters.size // need)
+            if n_batches == 0:
+                return
+            self._schedule[round_no] = PostBlock.votes(
+                voters[: n_batches * need],
+                np.repeat(targets[:n_batches], need),
+            )
+            voters = voters[n_batches * need :]
 
         # Step 1.1 window: dilute S with distinct bad objects.
         n_dilute = min(
-            bad.size, math.floor(self.step11_fraction * len(voters))
+            bad.size, math.floor(self.step11_fraction * voters.size)
         )
         dilute = self.rng.choice(bad, size=n_dilute, replace=False)
         cast(0, dilute, need=1)
 
         # Step 1.3 window: push chosen bad objects to the C0 threshold.
         need_c0 = max(1, math.ceil(self.params.c0_vote_threshold))
-        budget_c0 = math.floor(self.step13_fraction * len(voters))
+        budget_c0 = math.floor(self.step13_fraction * voters.size)
         planted = self.rng.choice(
             bad,
             size=min(bad.size, max(budget_c0 // need_c0, 0)),
@@ -111,7 +109,7 @@ class ObliviousSplitVoteAdversary(Adversary):
         c_guess = int(planted.size) + 1
         start = len_s11 + len_s13
         for t in range(self.planned_iterations):
-            if c_guess <= 1 or not voters:
+            if c_guess <= 1 or voters.size == 0:
                 break
             need = (
                 math.floor(
@@ -119,12 +117,12 @@ class ObliviousSplitVoteAdversary(Adversary):
                 )
                 + 1
             )
-            keep = min(c_guess - 1, len(voters) // need)
+            keep = min(c_guess - 1, voters.size // need)
             if keep <= 0:
                 break
             targets = planted[:keep]
             cast(start + t * len_iter, targets, need=need)
             c_guess = keep + 1
 
-    def act(self, round_no: int, view: BillboardView) -> List[VoteAction]:
-        return self._schedule.pop(round_no, [])
+    def act(self, round_no: int, view: BillboardView) -> Optional[PostBlock]:
+        return self._schedule.pop(round_no, None)

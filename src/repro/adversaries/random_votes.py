@@ -8,13 +8,13 @@ adversary) matters more than volume.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Optional
 
 import numpy as np
 
 from repro.adversaries.base import Adversary
+from repro.billboard.post import PostBlock
 from repro.billboard.views import BillboardView
-from repro.sim.actions import VoteAction
 from repro.world.instance import Instance
 
 
@@ -42,10 +42,11 @@ class RandomVotesAdversary(Adversary):
             return
         when = rng.integers(self.horizon, size=self.dishonest_ids.size)
         what = bad[rng.integers(bad.size, size=self.dishonest_ids.size)]
-        for player, round_no, obj in zip(self.dishonest_ids, when, what):
-            self._schedule.setdefault(int(round_no), []).append(
-                VoteAction(player=int(player), object_id=int(obj))
+        for round_no in np.unique(when).tolist():
+            at = when == round_no
+            self._schedule[round_no] = PostBlock.votes(
+                self.dishonest_ids[at], what[at]
             )
 
-    def act(self, round_no: int, view: BillboardView) -> List[VoteAction]:
-        return self._schedule.pop(round_no, [])
+    def act(self, round_no: int, view: BillboardView) -> Optional[PostBlock]:
+        return self._schedule.pop(round_no, None)

@@ -8,11 +8,11 @@ only honest work matters.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Optional
 
 from repro.adversaries.base import Adversary
+from repro.billboard.post import PostBlock
 from repro.billboard.views import BillboardView
-from repro.sim.actions import VoteAction
 
 
 class SilentAdversary(Adversary):
@@ -20,5 +20,5 @@ class SilentAdversary(Adversary):
 
     name = "silent"
 
-    def act(self, round_no: int, view: BillboardView) -> List[VoteAction]:
-        return []
+    def act(self, round_no: int, view: BillboardView) -> Optional[PostBlock]:
+        return None

@@ -34,15 +34,15 @@ Attack plan per window:
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.adversaries.base import Adversary
+from repro.billboard.post import PostBlock
 from repro.billboard.views import BillboardView
 from repro.core.parameters import DistillParameters
 from repro.core.tracker import DistillPhase, DistillPhaseTracker
-from repro.sim.actions import VoteAction
 from repro.strategies.base import StrategyContext
 from repro.world.instance import Instance
 
@@ -120,15 +120,15 @@ class SplitVoteAdversary(Adversary):
         return int(self._unused.size)
 
     # ------------------------------------------------------------------
-    def act(self, round_no: int, view: BillboardView) -> List[VoteAction]:
+    def act(self, round_no: int, view: BillboardView) -> Optional[PostBlock]:
         if self._unused.size == 0 or self._bad.size == 0:
-            return []
+            return None
         # Mirror the honest phase computation exactly: advance on the
         # honest start-of-round horizon.
         self.tracker.advance(round_no, view.with_horizon(round_no))
         window = (self.tracker.phase, self.tracker.phase_start)
         if window == self._handled_window:
-            return []
+            return None
         self._handled_window = window
 
         if self.tracker.phase is DistillPhase.STEP11:
@@ -138,52 +138,50 @@ class SplitVoteAdversary(Adversary):
         return self._attack_iteration()
 
     # ------------------------------------------------------------------
-    def _cast(self, targets: np.ndarray, need: int) -> List[VoteAction]:
+    def _cast(self, targets: np.ndarray, need: int) -> Optional[PostBlock]:
         """``need`` votes for each target, while vote slots last.
 
         One batch must come from ``need`` distinct identities, because
         the ledger ignores a player's repeat vote for one object. Any
         window of the periodic pool no longer than the number of
         identities is pairwise distinct, so the batches are consecutive
-        slices of the pool's front. A ``need`` above the pool or above
-        the number of identities casts nothing and consumes nothing.
+        slices of the pool's front: target ``i``'s voters are slots
+        ``[i·need, (i+1)·need)``. A ``need`` above the pool or above the
+        number of identities casts nothing and consumes nothing.
         """
         pool = self._unused
         if need > min(pool.size, self.dishonest_ids.size):
-            return []
+            return None
         n_batches = min(len(targets), pool.size // need)
-        taken = pool[: n_batches * need].reshape(n_batches, need)
         self._unused = pool[n_batches * need :]
-        return [
-            VoteAction(player=int(p), object_id=int(obj))
-            for obj, row in zip(targets[:n_batches], taken)
-            for p in row
-        ]
+        return PostBlock.votes(
+            pool[: n_batches * need], np.repeat(targets[:n_batches], need)
+        )
 
-    def _attack_step11(self) -> List[VoteAction]:
+    def _attack_step11(self) -> Optional[PostBlock]:
         budget = math.floor(self.step11_fraction * self._unused.size)
         n_targets = min(self._bad.size, budget)
         if n_targets <= 0:
-            return []
+            return None
         targets = self.rng.choice(self._bad, size=n_targets, replace=False)
         return self._cast(targets, need=1)
 
-    def _attack_step13(self) -> List[VoteAction]:
+    def _attack_step13(self) -> Optional[PostBlock]:
         need = max(1, math.ceil(self.params.c0_vote_threshold))
         budget = math.floor(self.step13_fraction * self._unused.size)
         n_targets = min(self._bad.size, budget // need)
         if n_targets <= 0:
-            return []
+            return None
         targets = self.rng.choice(self._bad, size=n_targets, replace=False)
         return self._cast(targets, need)
 
-    def _attack_iteration(self) -> List[VoteAction]:
+    def _attack_iteration(self) -> Optional[PostBlock]:
         candidates = self.tracker.candidates
         bad_candidates = candidates[~self._good_mask[candidates]]
         if bad_candidates.size == 0:
-            return []
+            return None
         need = math.floor(self.tracker.iteration_threshold()) + 1
         n_targets = min(bad_candidates.size, self._unused.size // need)
         if n_targets <= 0:
-            return []
+            return None
         return self._cast(bad_candidates[:n_targets], need)

@@ -12,13 +12,13 @@ bound exploits.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from repro.adversaries.base import Adversary
+from repro.billboard.post import PostBlock, PostKind
 from repro.billboard.views import BillboardView
-from repro.sim.actions import VoteAction
 from repro.strategies.base import Strategy, StrategyContext
 from repro.world.instance import Instance
 
@@ -81,9 +81,9 @@ class SpoofedProtocolAdversary(Adversary):
         return values
 
     # ------------------------------------------------------------------
-    def act(self, round_no: int, view: BillboardView) -> List[VoteAction]:
+    def act(self, round_no: int, view: BillboardView) -> Optional[PostBlock]:
         if self._active.size == 0:
-            return []
+            return None
         # The mimicking cohort reads the board exactly as honest players
         # do: at the start-of-round horizon.
         honest_view = view.with_horizon(round_no)
@@ -95,25 +95,23 @@ class SpoofedProtocolAdversary(Adversary):
         probers = self._active[probing]
         targets = choices[probing]
         if probers.size == 0:
-            return []
+            return None
         values = self._observe(probers, targets)
         vote_mask, halt_mask = self.inner.handle_results(
             round_no, probers, targets, values
         )
         vote_mask = np.asarray(vote_mask, dtype=bool)
         halt_mask = np.asarray(halt_mask, dtype=bool)
-        actions = [
-            VoteAction(
-                player=int(probers[i]),
-                object_id=int(targets[i]),
-                claimed_value=float(values[i]),
-            )
-            for i in np.flatnonzero(vote_mask)
-        ]
         if halt_mask.any():
-            halted = set(int(p) for p in probers[halt_mask])
-            self._active = np.array(
-                [p for p in self._active if int(p) not in halted],
-                dtype=np.int64,
-            )
-        return actions
+            self._active = self._active[
+                ~np.isin(self._active, probers[halt_mask])
+            ]
+        if not vote_mask.any():
+            return None
+        # the votes claim the spoofed values the cohort observed
+        return PostBlock(
+            probers[vote_mask],
+            targets[vote_mask],
+            values[vote_mask],
+            PostKind.VOTE,
+        )

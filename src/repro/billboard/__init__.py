@@ -8,6 +8,8 @@ object is a *vote* — the only kind of report Algorithm DISTILL consumes.
 The components are:
 
 * :class:`~repro.billboard.post.Post` — one immutable billboard entry.
+* :class:`~repro.billboard.post.PostBlock` — a same-kind block of posts
+  as columns: what an adversary's turn posts.
 * :class:`~repro.billboard.board.Billboard` — the append-only log with
   integrity enforcement (the scalar engine's dense substrate).
 * :class:`~repro.billboard.columnar.ColumnarBoard` — the same log as
@@ -24,7 +26,7 @@ The components are:
 from repro.billboard.board import Billboard
 from repro.billboard.columnar import ColumnarBoard
 from repro.billboard.lanes import LaneBillboard
-from repro.billboard.post import Post, PostKind
+from repro.billboard.post import Post, PostBlock, PostKind
 from repro.billboard.sparse import (
     SPARSE_AUTO_THRESHOLD,
     SUBSTRATE_CHOICES,
@@ -40,6 +42,7 @@ __all__ = [
     "ColumnarBoard",
     "LaneBillboard",
     "Post",
+    "PostBlock",
     "PostKind",
     "SPARSE_AUTO_THRESHOLD",
     "SUBSTRATE_CHOICES",

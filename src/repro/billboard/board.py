@@ -196,9 +196,10 @@ class Billboard:
         kind: PostKind,
     ) -> List[Post]:
         """Append a same-round, same-kind block of posts given as columns
-        (the scalar engine's honest posts). This board stores ``Post``
-        objects, so it turns the columns into entries here and appends
-        them through :meth:`append_many`."""
+        (honest posts, and every adversary turn's
+        :class:`~repro.billboard.post.PostBlock`). This board stores
+        ``Post`` objects, so it turns the columns into entries here and
+        appends them through :meth:`append_many`."""
         return self.append_many(
             round_no,
             [

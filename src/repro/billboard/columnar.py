@@ -102,7 +102,9 @@ class ColumnarBoard:
         kind: PostKind,
     ) -> None:
         """Append a same-round, same-kind block of posts given as columns
-        (the engines' honest posts); otherwise :meth:`append_many`."""
+        (honest posts, and every adversary turn's
+        :class:`~repro.billboard.post.PostBlock`); otherwise
+        :meth:`append_many`."""
         players = np.asarray(players, dtype=np.int64)
         if players.size == 0:
             return

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 
 class PostKind(enum.Enum):
@@ -77,4 +80,33 @@ class Post:
             f"[{self.seq:>6} r{self.round_no:>5}] {tag} "
             f"player={self.player} object={self.object_id} "
             f"value={self.reported_value:g}"
+        )
+
+
+class PostBlock(NamedTuple):
+    """One same-kind block of posts for one round, as columns.
+
+    The fields are the column arguments of a board's ``post_block``, in
+    its order, so a block posts as ``board.post_block(round_no,
+    *block)``. It is the one format an adversary's turn takes
+    (:meth:`~repro.adversaries.base.Adversary.act`). ``values`` are the
+    values the posts claim to have observed; they only matter to readers
+    that inspect them (the no-local-testing model, slander).
+    """
+
+    players: np.ndarray
+    objects: np.ndarray
+    values: np.ndarray
+    kind: PostKind
+
+    @classmethod
+    def votes(cls, players: np.ndarray, objects: np.ndarray) -> "PostBlock":
+        """Positive votes of ``players`` for ``objects``, each claiming
+        value 1.0 ("looks good")."""
+        players = np.asarray(players, dtype=np.int64)
+        return cls(
+            players,
+            np.asarray(objects, dtype=np.int64),
+            np.ones(players.size),
+            PostKind.VOTE,
         )

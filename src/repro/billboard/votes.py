@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.billboard.post import Post
-from repro.world.playerstate import player_array
 
 
 class _IntColumn:
@@ -154,19 +153,17 @@ class VoteLedger:
         self._objects = _IntColumn()
 
         # Current advice target per player; -1 means "no vote yet".
-        # player_array keeps million-player ledgers memmap-backed, so
-        # idle players cost address space rather than resident pages.
-        self._current_vote = player_array(n_players, -1, np.int64)
+        self._current_vote = np.full(n_players, -1, dtype=np.int64)
 
         # Effective-vote tally per player (vectorized votes_cast_by).
-        self._vote_counts = player_array(n_players, 0, np.int64)
+        self._vote_counts = np.zeros(n_players, dtype=np.int64)
 
         # MULTI only: each player's effective targets, one row of f
         # slots per player filled left to right (the tally says how many
         # are set), for the distinct-object check. SINGLE needs only the
         # tally, MUTABLE only the current vote.
         self._targets: Optional[np.ndarray] = (
-            player_array((n_players, max_votes_per_player), 0, np.int64)
+            np.zeros((n_players, max_votes_per_player), dtype=np.int64)
             if mode is VoteMode.MULTI
             else None
         )
@@ -316,7 +313,7 @@ class VoteLedger:
         return result.copy()
 
     def _first_vote_array(self, cutoff: int) -> np.ndarray:
-        result = player_array(self.n_players, -1, np.int64)
+        result = np.full(self.n_players, -1, dtype=np.int64)
         players = self._players.view()[:cutoff]
         if players.size:
             uniq, first = np.unique(players, return_index=True)
@@ -324,7 +321,7 @@ class VoteLedger:
         return result
 
     def _last_vote_array(self, cutoff: int) -> np.ndarray:
-        result = player_array(self.n_players, -1, np.int64)
+        result = np.full(self.n_players, -1, dtype=np.int64)
         players = self._players.view()[:cutoff][::-1]
         if players.size:
             # First occurrence in the reversed column = last vote overall.

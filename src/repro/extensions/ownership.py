@@ -20,14 +20,14 @@ experiment (ablation A2) measures:
 
 from __future__ import annotations
 
-from typing import List
+from typing import Optional
 
 import numpy as np
 
 from repro.adversaries.base import Adversary
+from repro.billboard.post import PostBlock
 from repro.billboard.views import BillboardView
 from repro.errors import ConfigurationError
-from repro.sim.actions import VoteAction
 from repro.world.instance import Instance, roles_from_alpha
 from repro.world.objects import ObjectSpace
 
@@ -80,11 +80,8 @@ class SelfPromotionAdversary(Adversary):
             )
         self._fired = False
 
-    def act(self, round_no: int, view: BillboardView) -> List[VoteAction]:
-        if self._fired:
-            return []
+    def act(self, round_no: int, view: BillboardView) -> Optional[PostBlock]:
+        if self._fired or self.dishonest_ids.size == 0:
+            return None
         self._fired = True
-        return [
-            VoteAction(player=int(p), object_id=int(p))
-            for p in self.dishonest_ids
-        ]
+        return PostBlock.votes(self.dishonest_ids, self.dishonest_ids)

@@ -27,17 +27,16 @@ the robust choice.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 import numpy as np
 
 from repro.adversaries.base import Adversary
-from repro.billboard.post import PostKind
+from repro.billboard.post import PostBlock, PostKind
 from repro.billboard.views import BillboardView
 from repro.core.distill import DistillStrategy
 from repro.core.parameters import DistillParameters
 from repro.errors import ConfigurationError
-from repro.sim.actions import VoteAction
 from repro.strategies.base import StrategyContext
 from repro.world.instance import Instance
 
@@ -131,20 +130,19 @@ class SlanderAdversary(Adversary):
 
     def reset(self, instance: Instance, rng: np.random.Generator) -> None:
         super().reset(instance, rng)
-        self._queue: List[VoteAction] = [
-            VoteAction(
-                player=int(player),
-                object_id=int(obj),
-                claimed_value=0.0,
-                kind=PostKind.REPORT,
-            )
-            for obj in instance.space.good_ids
-            for player in self.dishonest_ids
-        ]
+        # every (good object, dishonest player) pair, object-major
+        good = instance.space.good_ids
+        self._players = np.tile(self.dishonest_ids, good.size)
+        self._objects = np.repeat(good, self.dishonest_ids.size)
         # one batch per round keeps the board stamps tidy
-        self._per_round = max(1, len(self._queue) // 8)
+        self._per_round = max(1, self._players.size // 8)
 
-    def act(self, round_no: int, view: BillboardView) -> List[VoteAction]:
-        batch = self._queue[: self._per_round]
-        self._queue = self._queue[self._per_round:]
-        return batch
+    def act(self, round_no: int, view: BillboardView) -> Optional[PostBlock]:
+        k = self._per_round
+        players, self._players = self._players[:k], self._players[k:]
+        objects, self._objects = self._objects[:k], self._objects[k:]
+        if players.size == 0:
+            return None
+        return PostBlock(
+            players, objects, np.zeros(players.size), PostKind.REPORT
+        )

@@ -1,6 +1,6 @@
 """Phase 1 of project-wide analysis: the per-file summaries and model.
 
-The per-file rules (RPL001–RPL010) see one AST at a time; the cross-file
+The per-file rules (RPL001–RPL009) see one AST at a time; the cross-file
 families (RPL011–RPL013) need facts no single file witnesses — which
 ``REPRO_*`` variable has a CLI flag in a *different* module, which
 counter names the obs registry declares, where an rng stream flows.

@@ -105,15 +105,6 @@ RULES: Dict[str, Rule] = {
             "must say why the contract does not apply",
         ),
         Rule(
-            "RPL010",
-            "dense-player-allocation",
-            "dense per-player allocation in a billboard module",
-            "billboard storage must scale with *active* players, not n "
-            "(the sparse-substrate contract); allocate per-player state "
-            "through repro.world.player_array, which spills to a memmap "
-            "above its budget",
-        ),
-        Rule(
             "RPL011",
             "rng-stream-flow",
             "rng stream misuse across spawn/handoff paths",
@@ -203,39 +194,11 @@ _DATETIME_NOW: Set[str] = {"now", "utcnow", "today"}
 #: base classes that mark a class as lane-indexed (RPL008)
 _BATCHED_BASES: Set[str] = {"BatchedStrategy", "BatchedAdversary"}
 
-#: numpy allocators that materialize a whole array up front (RPL010)
-_DENSE_ALLOCATORS: Set[str] = {
-    "numpy.zeros",
-    "numpy.empty",
-    "numpy.full",
-    "numpy.ones",
-}
-
-#: names that denote the *total* player count: an allocation sized by one
-#: of these inside ``billboard/`` is dense per-player state (RPL010)
-_PLAYER_DIM_NAMES: Set[str] = {"n", "n_players", "num_players"}
-
 
 def is_critical_path(path: str) -> bool:
     """Whether ``path`` lives in a determinism-critical engine package."""
     parts = path.replace("\\", "/").split("/")
     return any(part in CRITICAL_PACKAGES for part in parts[:-1])
-
-
-def is_billboard_path(path: str) -> bool:
-    """Whether ``path`` lives in the billboard package (RPL010 scope)."""
-    parts = path.replace("\\", "/").split("/")
-    return "billboard" in parts[:-1]
-
-
-def _mentions_player_dim(node: ast.AST) -> bool:
-    """Whether a shape expression is sized by the total player count."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and sub.id in _PLAYER_DIM_NAMES:
-            return True
-        if isinstance(sub, ast.Attribute) and sub.attr in _PLAYER_DIM_NAMES:
-            return True
-    return False
 
 
 @dataclass(frozen=True, order=True)
@@ -292,7 +255,6 @@ class _Checker(ast.NodeVisitor):
     def __init__(self, path: str) -> None:
         self.path = path
         self.critical = is_critical_path(path)
-        self.billboard = is_billboard_path(path)
         self.violations: List[RawViolation] = []
         #: local alias -> canonical module (e.g. ``np`` -> ``numpy``)
         self._module_aliases: Dict[str, str] = {}
@@ -387,29 +349,8 @@ class _Checker(ast.NodeVisitor):
             self._check_seed_consumer(node, resolved)
             if self.critical:
                 self._check_wall_clock(node, resolved)
-            if self.billboard:
-                self._check_dense_allocation(node, resolved)
         self._check_seed_keywords(node)
         self.generic_visit(node)
-
-    def _check_dense_allocation(self, node: ast.Call, resolved: str) -> None:
-        """RPL010: a numpy allocation sized by the player count inside
-        ``billboard/`` defeats the sparse substrate's active-players-only
-        scaling. The shape is the first positional argument or ``shape=``."""
-        if resolved not in _DENSE_ALLOCATORS:
-            return
-        shape_args = list(node.args[:1]) + [
-            kw.value for kw in node.keywords if kw.arg == "shape"
-        ]
-        for arg in shape_args:
-            if _mentions_player_dim(arg):
-                self._emit(
-                    node,
-                    "RPL010",
-                    f"`{resolved}({ast.unparse(arg)}, ...)` is sized by "
-                    "the total player count",
-                )
-                return
 
     def _check_numpy_legacy(self, node: ast.Call, resolved: str) -> None:
         prefix, _, attr = resolved.rpartition(".")

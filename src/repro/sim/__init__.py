@@ -7,13 +7,11 @@ until it has probed a good object. The Byzantine adversary may post
 arbitrarily on behalf of dishonest players, observing everything realized
 so far (adaptive adversary, Section 2.3).
 
-* :mod:`~repro.sim.actions` — the adversary's vote actions.
 * :class:`~repro.sim.engine.SynchronousEngine` — the round loop.
 * :class:`~repro.sim.metrics.RunMetrics` — per-run outcome record.
 * :mod:`~repro.sim.runner` — Monte-Carlo trial aggregation.
 """
 
-from repro.sim.actions import VoteAction
 from repro.sim.batch_engine import BatchedEngine, batch_fallback_reason
 from repro.sim.async_engine import (
     AsyncRunMetrics,
@@ -55,7 +53,6 @@ __all__ = [
     "TraceEvent",
     "replay_metrics",
     "TrialResults",
-    "VoteAction",
     "run_trial_grid",
     "run_trials",
 ]

@@ -21,10 +21,10 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 import numpy as np
 
 if TYPE_CHECKING:  # type-only: avoids importing faults at module load
-    from repro.adversaries.base import Adversary
     from repro.faults.injector import FaultInjector
     from repro.obs.registry import Registry
 
+from repro.adversaries.base import Adversary, check_block
 from repro.billboard.board import Billboard
 from repro.billboard.post import PostKind
 from repro.billboard.views import BillboardView
@@ -148,7 +148,7 @@ class AsynchronousEngine:
         instance: Instance,
         strategy: AsyncStrategy,
         schedule: Optional[Schedule] = None,
-        adversary: Optional["Adversary"] = None,
+        adversary: Optional[Adversary] = None,
         value_model: Optional[ValueModel] = None,
         rng: Optional[np.random.Generator] = None,
         schedule_rng: Optional[np.random.Generator] = None,
@@ -191,7 +191,6 @@ class AsynchronousEngine:
         #: optional event-counter registry (``async.*`` names; counters
         #: only — no clock reads in ``sim`` — and bit-inert)
         self.obs = obs
-        self._dishonest_set = set(int(p) for p in instance.dishonest_ids)
         self.ctx = StrategyContext(
             n=instance.n,
             m=instance.m,
@@ -321,19 +320,10 @@ class AsynchronousEngine:
         )
 
     def _adversary_step(self, step_no: int) -> None:
-        """The adversary's turn after a basic step, identities validated."""
-        full_view = BillboardView(self.board)
-        for action in self.adversary.act(step_no, full_view):
-            if int(action.player) not in self._dishonest_set:
-                raise SimulationError(
-                    f"adversary {self.adversary.name!r} posted as "
-                    f"player {action.player}, which it does not "
-                    "control"
-                )
-            self.board.append(
-                step_no,
-                int(action.player),
-                int(action.object_id),
-                float(action.claimed_value),
-                action.kind,
-            )
+        """The adversary's turn after a basic step: its block is checked
+        whole, then lands whole."""
+        block = self.adversary.act(step_no, BillboardView(self.board))
+        if block is None:
+            return
+        check_block(self.adversary.name, block, self.instance.honest_mask)
+        self.board.post_block(step_no, *block)

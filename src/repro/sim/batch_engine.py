@@ -44,11 +44,11 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
+from repro.adversaries.base import check_block
 from repro.billboard.lanes import LaneBillboard
 from repro.billboard.post import PostKind
 from repro.billboard.views import BillboardView
 from repro.errors import (
-    AdversaryViolationError,
     BudgetExceededError,
     ConfigurationError,
     SimulationError,
@@ -59,7 +59,6 @@ from repro.sim.metrics import RunMetrics
 from repro.strategies.base import StrategyContext
 from repro.strategies.batched import BatchedStrategy
 from repro.world.instance import Instance
-from repro.world.playerstate import player_array
 from repro.world.valuemodel import TrueValueModel, ValueModel
 
 if TYPE_CHECKING:  # imported lazily to avoid a package-level cycle
@@ -214,8 +213,8 @@ class BatchedEngine:
 
         probes = np.zeros((K, n), dtype=np.int64)
         paid = np.zeros((K, n), dtype=np.float64)
-        satisfied_round = player_array((K, n), -1, np.int64)
-        halted_round = player_array((K, n), -1, np.int64)
+        satisfied_round = np.full((K, n), -1, dtype=np.int64)
+        halted_round = np.full((K, n), -1, dtype=np.int64)
         alive = np.ones(K, dtype=bool)
         rounds_out = np.zeros(K, dtype=np.int64)
 
@@ -230,7 +229,7 @@ class BatchedEngine:
                 [inst.honest_mask.copy() for inst in self.instances]
             )
             #: round at which each crashed player restarts (-1: not down)
-            down_until = player_array((K, n), -1, np.int64)
+            down_until = np.full((K, n), -1, dtype=np.int64)
             lane_active_ids: List[np.ndarray] = []
             faults.reset()
             value_models = faults.wrap_value_models(value_models)
@@ -471,27 +470,13 @@ class BatchedEngine:
     def _adversary_turn(self, lane: int, round_no: int) -> None:
         board = self.boards.lane(lane)
         full_view = BillboardView(board, before_round=None)
-        actions = self.adversary.act(lane, round_no, full_view)
-        if not actions:
+        block = self.adversary.act(lane, round_no, full_view)
+        if block is None:
             return
-        honest = self.instances[lane].honest_mask
-        entries = []
-        for action in actions:
-            player = int(action.player)
-            if not (0 <= player < honest.size) or honest[player]:
-                raise AdversaryViolationError(
-                    f"adversary {self.adversary.name!r} tried to post as "
-                    f"player {action.player}, which it does not control"
-                )
-            entries.append(
-                (
-                    player,
-                    int(action.object_id),
-                    float(action.claimed_value),
-                    action.kind,
-                )
-            )
-        board.append_many(round_no, entries)
+        check_block(
+            self.adversary.name, block, self.instances[lane].honest_mask
+        )
+        board.post_block(round_no, *block)
 
     def _lane_metrics(
         self,
@@ -504,16 +489,12 @@ class BatchedEngine:
     ) -> RunMetrics:
         inst = self.instances[k]
         sat_honest = satisfied_round[k][inst.honest_mask] >= 0
-        # np.array (not .copy()) detaches each lane row into a plain
-        # in-memory ndarray even when the (K, n) state is memmap-backed
-        # (see repro.world.playerstate), so metrics never reference an
-        # engine-lifetime temp-file mapping.
         return RunMetrics(
             honest_mask=inst.honest_mask.copy(),
-            probes=np.array(probes[k]),
-            paid=np.array(paid[k]),
-            satisfied_round=np.array(satisfied_round[k]),
-            halted_round=np.array(halted_round[k]),
+            probes=probes[k].copy(),
+            paid=paid[k].copy(),
+            satisfied_round=satisfied_round[k].copy(),
+            halted_round=halted_round[k].copy(),
             rounds=int(rounds_out[k]),
             all_honest_satisfied=bool(sat_honest.all()),
             strategy_info=self.strategy.info(k),

@@ -15,8 +15,8 @@ it:
    :class:`~repro.billboard.post.PostKind`),
 5. the adversary observes the *complete* board — including this round's
    honest posts and therefore all realized coin flips, the adaptive model
-   of Section 2.3 — and casts dishonest votes, validated against its
-   identity set.
+   of Section 2.3 — and posts one block under dishonest identities,
+   checked by :func:`~repro.adversaries.base.check_block` before it lands.
 
 The engine stops when every honest player is satisfied (has probed a
 ground-truth good object), when the strategy declares itself finished
@@ -32,25 +32,20 @@ from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
 
+from repro.adversaries.base import Adversary, check_block
 from repro.billboard.board import Billboard
 from repro.billboard.columnar import AnyBoard, ColumnarBoard
 from repro.billboard.post import PostKind
 from repro.billboard.sparse import choose_substrate
 from repro.billboard.views import BillboardView
 from repro.billboard.votes import VoteMode
-from repro.errors import (
-    AdversaryViolationError,
-    BudgetExceededError,
-    SimulationError,
-)
+from repro.errors import BudgetExceededError, SimulationError
 from repro.sim.metrics import RunMetrics
 from repro.strategies.base import Strategy, StrategyContext
 from repro.world.instance import Instance
-from repro.world.playerstate import finalize_player_array, player_array
 from repro.world.valuemodel import TrueValueModel, ValueModel
 
 if TYPE_CHECKING:  # imported lazily to avoid a package-level cycle
-    from repro.adversaries.base import Adversary
     from repro.faults.injector import FaultInjector
     from repro.obs.registry import Registry
 
@@ -134,7 +129,7 @@ class SynchronousEngine:
         self,
         instance: Instance,
         strategy: Strategy,
-        adversary: Optional["Adversary"] = None,
+        adversary: Optional[Adversary] = None,
         value_model: Optional[ValueModel] = None,
         rng: Optional[np.random.Generator] = None,
         adversary_rng: Optional[np.random.Generator] = None,
@@ -193,8 +188,8 @@ class SynchronousEngine:
 
         probes = np.zeros(n, dtype=np.int64)
         paid = np.zeros(n, dtype=np.float64)
-        satisfied_round = player_array(n, -1, np.int64)
-        halted_round = player_array(n, -1, np.int64)
+        satisfied_round = np.full(n, -1, dtype=np.int64)
+        halted_round = np.full(n, -1, dtype=np.int64)
         # The active set is kept as a sorted id array maintained
         # incrementally (set-minus on crash/halt, union on restart), so
         # a round's cost scales with the players that actually act —
@@ -376,10 +371,10 @@ class SynchronousEngine:
         sat_honest = satisfied_round[inst.honest_mask] >= 0
         return RunMetrics(
             honest_mask=inst.honest_mask.copy(),
-            probes=finalize_player_array(probes),
-            paid=finalize_player_array(paid),
-            satisfied_round=finalize_player_array(satisfied_round),
-            halted_round=finalize_player_array(halted_round),
+            probes=probes,
+            paid=paid,
+            satisfied_round=satisfied_round,
+            halted_round=halted_round,
             rounds=round_no,
             all_honest_satisfied=bool(sat_honest.all()),
             strategy_info=self.strategy.info(),
@@ -487,46 +482,31 @@ class SynchronousEngine:
 
     # ------------------------------------------------------------------
     def _adversary_turn(self, round_no: int) -> None:
-        """Let the adversary post, validating identities.
+        """Let the adversary post its block, identities checked first.
 
-        The whole turn is validated before anything hits the board
-        (:meth:`~repro.billboard.board.Billboard.append_many` is
-        all-or-nothing), so a violating adversary leaves no partial
-        round behind.
+        The block is checked whole before anything hits the board, and
+        ``post_block`` is all-or-nothing, so a violating adversary leaves
+        no partial round behind.
         """
         full_view = BillboardView(self.board, before_round=None)
-        actions = self.adversary.act(round_no, full_view)
-        if not actions:
+        block = self.adversary.act(round_no, full_view)
+        if block is None:
             return
-        # Identity check against the honest mask directly — a set of
-        # dishonest ids would be O(n) resident state per engine.
-        honest_mask = self.instance.honest_mask
-        n = self.instance.n
-        entries = []
-        for action in actions:
-            player = int(action.player)
-            if not 0 <= player < n or honest_mask[player]:
-                raise AdversaryViolationError(
-                    f"adversary {self.adversary.name!r} tried to post as "
-                    f"player {action.player}, which it does not control"
-                )
-            entries.append(
-                (
-                    int(action.player),
-                    int(action.object_id),
-                    float(action.claimed_value),
-                    action.kind,
-                )
-            )
-        self.board.append_many(round_no, entries)
+        check_block(self.adversary.name, block, self.instance.honest_mask)
+        self.board.post_block(round_no, *block)
         if self.obs is not None:
-            self.obs.counter("billboard.posts_adversary").add(len(entries))
+            self.obs.counter("billboard.posts_adversary").add(
+                len(block.players)
+            )
         if self.trace is not None:
-            for action in actions:
+            for player, object_id in zip(
+                np.asarray(block.players).tolist(),
+                np.asarray(block.objects).tolist(),
+            ):
                 self.trace.record(
                     round_no,
                     "adversary",
-                    player=int(action.player),
-                    object=int(action.object_id),
-                    post_kind=action.kind.value,
+                    player=player,
+                    object=object_id,
+                    post_kind=block.kind.value,
                 )

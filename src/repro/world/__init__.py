@@ -17,11 +17,6 @@ players of which an ``α`` fraction are honest. This package provides:
 
 from repro.world.instance import Instance
 from repro.world.objects import ObjectSpace
-from repro.world.playerstate import (
-    MEMMAP_THRESHOLD,
-    finalize_player_array,
-    player_array,
-)
 from repro.world.valuemodel import (
     SpoofedValueModel,
     TrueValueModel,
@@ -35,11 +30,8 @@ from repro.world.generators import (
 
 __all__ = [
     "Instance",
-    "MEMMAP_THRESHOLD",
     "ObjectSpace",
     "SpoofedValueModel",
-    "finalize_player_array",
-    "player_array",
     "TrueValueModel",
     "ValueModel",
     "cost_class_instance",

@@ -79,15 +79,15 @@ class TestBudget:
         # the seam between two copies of the permutation
         need = inst.n_dishonest - 1
         targets = adv.bad_object_ids()[:3]
-        actions = adv._cast(targets, need)
-        assert len(actions) == 3 * need
+        block = adv._cast(targets, need)
+        assert block.players.size == 3 * need
         for k, obj in enumerate(targets):
-            batch = actions[k * need : (k + 1) * need]
-            voters = [a.player for a in batch]
-            assert {a.object_id for a in batch} == {int(obj)}
+            batch = slice(k * need, (k + 1) * need)
+            voters = block.players[batch].tolist()
+            assert set(block.objects[batch].tolist()) == {int(obj)}
             assert len(set(voters)) == need
             assert not inst.honest_mask[voters].any()
-        assert [a.player for a in actions] == pool[: 3 * need].tolist()
+        assert block.players.tolist() == pool[: 3 * need].tolist()
         assert np.array_equal(adv._unused, pool[3 * need :])
 
     def test_cast_refuses_partial_batch(self):
@@ -96,7 +96,7 @@ class TestBudget:
         inst, adv = reset_adversary(votes_per_identity=3)
         bad = adv.bad_object_ids()
         pool = adv._unused.copy()
-        assert adv._cast(bad[:1], inst.n_dishonest + 1) == []
+        assert adv._cast(bad[:1], inst.n_dishonest + 1) is None
         assert np.array_equal(adv._unused, pool)
         # drain the pool to two slots: 2 batches of every identity, then
         # single votes
@@ -104,7 +104,7 @@ class TestBudget:
         adv._cast(bad[: inst.n_dishonest - 2], 1)
         assert adv.remaining_budget == 2
         left = adv._unused.copy()
-        assert adv._cast(bad[:1], 3) == []
+        assert adv._cast(bad[:1], 3) is None
         assert np.array_equal(adv._unused, left)
 
 

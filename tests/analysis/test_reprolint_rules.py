@@ -324,45 +324,6 @@ class TestRPL009Suppressions:
         assert codes(source) == []
 
 
-class TestRPL010DensePlayerAllocation:
-    #: a module path inside the billboard package (the rule's scope)
-    BILLBOARD = "src/repro/billboard/example.py"
-
-    def test_player_sized_zeros_is_flagged(self):
-        source = "import numpy as np\nx = np.zeros(n, dtype=np.int64)\n"
-        assert codes(source, path=self.BILLBOARD) == ["RPL010"]
-
-    def test_attribute_player_count_is_flagged(self):
-        source = (
-            "import numpy as np\n"
-            "x = np.full(self.n_players, -1, dtype=np.int64)\n"
-        )
-        assert codes(source, path=self.BILLBOARD) == ["RPL010"]
-
-    def test_shape_keyword_is_flagged(self):
-        source = "import numpy as np\nx = np.empty(shape=(n_players,))\n"
-        assert codes(source, path=self.BILLBOARD) == ["RPL010"]
-
-    def test_object_sized_allocation_passes(self):
-        source = (
-            "import numpy as np\n"
-            "x = np.zeros(self.n_objects, dtype=np.int64)\n"
-        )
-        assert codes(source, path=self.BILLBOARD) == []
-
-    def test_outside_billboard_passes(self):
-        source = "import numpy as np\nx = np.zeros(n, dtype=np.int64)\n"
-        assert codes(source, path=SIM) == []
-
-    def test_reasoned_suppression_silences(self):
-        source = (
-            "import numpy as np\n"
-            "x = np.full(self.n_players, -1)  "
-            "# repro: noqa=RPL010(on-demand query result)\n"
-        )
-        assert codes(source, path=self.BILLBOARD) == []
-
-
 class TestInfrastructure:
     def test_every_rule_has_fixture_coverage(self):
         # this module keeps one test class per per-file rule code; the
@@ -370,7 +331,7 @@ class TestInfrastructure:
         # in test_reprolint_project.py
         per_file = {
             "RPL001", "RPL002", "RPL003", "RPL004", "RPL005",
-            "RPL006", "RPL007", "RPL008", "RPL009", "RPL010",
+            "RPL006", "RPL007", "RPL008", "RPL009",
         }
         cross_file = {"RPL011", "RPL012", "RPL013"}
         assert per_file | cross_file == set(RULES)

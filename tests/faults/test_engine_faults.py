@@ -13,10 +13,9 @@ The contract under test, per fault kind:
 import numpy as np
 
 from repro.adversaries.base import Adversary
-from repro.billboard.post import PostKind
+from repro.billboard.post import PostBlock, PostKind
 from repro.core.distill import DistillStrategy
 from repro.faults import FaultInjector, FaultPlan
-from repro.sim.actions import VoteAction
 from repro.sim.engine import EngineConfig, SynchronousEngine
 from repro.strategies.base import Strategy
 from repro.world.generators import explicit_instance, planted_instance
@@ -53,7 +52,7 @@ class StubbornVoteAdversary(Adversary):
         self.obj = obj
 
     def act(self, round_no, view):
-        return [VoteAction(player=self.player, object_id=self.obj)]
+        return PostBlock.votes([self.player], [self.obj])
 
 
 def two_object_instance(honest=(True, True, False)):

@@ -103,9 +103,9 @@ class TestOwnership:
         inst = ownership_instance(32, 0.5, 0.5, rng)
         adv = SelfPromotionAdversary()
         adv.reset(inst, np.random.default_rng(1))
-        actions = adv.act(0, BillboardView(Billboard(32, 32)))
-        assert all(a.player == a.object_id for a in actions)
-        assert len(actions) == inst.n_dishonest
+        block = adv.act(0, BillboardView(Billboard(32, 32)))
+        assert np.array_equal(block.players, block.objects)
+        assert block.players.size == inst.n_dishonest
 
     def test_self_promotion_needs_coupling(self, rng):
         inst = planted_instance(n=8, m=16, beta=0.25, alpha=0.5, rng=rng)

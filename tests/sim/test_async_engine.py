@@ -206,8 +206,8 @@ class TestAsyncAdversary:
 
     def test_adversary_cannot_impersonate_honest_async(self):
         from repro.adversaries.base import Adversary
-        from repro.sim.actions import VoteAction
-        from repro.errors import SimulationError
+        from repro.billboard.post import PostBlock
+        from repro.errors import AdversaryViolationError
 
         class Impostor(Adversary):
             name = "impostor"
@@ -216,7 +216,7 @@ class TestAsyncAdversary:
                 honest = int(
                     np.flatnonzero(self.instance.honest_mask)[0]
                 )
-                return [VoteAction(player=honest, object_id=0)]
+                return PostBlock.votes([honest], [0])
 
         inst = world(alpha=0.5, seed=61)
         engine = AsynchronousEngine(
@@ -225,7 +225,7 @@ class TestAsyncAdversary:
             adversary=Impostor(),
             rng=np.random.default_rng(62),
         )
-        with pytest.raises(SimulationError):
+        with pytest.raises(AdversaryViolationError):
             engine.run()
 
     def test_bad_advice_slows_but_does_not_stop(self):

@@ -533,7 +533,7 @@ class QuietStep11SplitVote(SplitVoteAdversary):
     parent's vectorized twin."""
 
     def _attack_step11(self):
-        return []
+        return None
 
 
 #: subclasses of classes with (or that once had) a lane twin; each must

@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 from repro.adversaries.base import Adversary
-from repro.billboard.post import PostKind
+from repro.adversaries.batched import PerLaneAdversary
+from repro.billboard.post import PostBlock, PostKind
 from repro.errors import (
     AdversaryViolationError,
     BudgetExceededError,
     SimulationError,
 )
-from repro.sim.actions import VoteAction
+from repro.sim.async_engine import AsyncStrategy, AsynchronousEngine
+from repro.sim.batch_engine import BatchedEngine
 from repro.sim.engine import EngineConfig, SynchronousEngine
 from repro.strategies.base import Strategy
+from repro.strategies.batched import PerLaneStrategy
 from repro.world.generators import explicit_instance
 
 
@@ -39,8 +42,8 @@ class OneShotVoteAdversary(Adversary):
 
     def act(self, round_no, view):
         if round_no == self.at_round:
-            return [VoteAction(player=self.player, object_id=self.obj)]
-        return []
+            return PostBlock.votes([self.player], [self.obj])
+        return None
 
 
 def two_object_instance(honest=(True, True, False)):
@@ -187,13 +190,101 @@ class TestAdversaryMediation:
             def act(self, round_no, view):
                 if round_no == 0:
                     seen["votes"] = len(view.vote_posts())
-                return []
+                return None
 
         inst = two_object_instance()
         SynchronousEngine(
             inst, FixedProbeStrategy([1]), adversary=Peek()
         ).run()
         assert seen["votes"] == 2  # both honest voted in round 0
+
+
+class RoundZeroBlockAdversary(Adversary):
+    """Posts one scripted block in round (or step) 0."""
+
+    name = "round-zero"
+
+    def __init__(self, block):
+        self.block = block
+
+    def act(self, round_no, view):
+        return self.block if round_no == 0 else None
+
+
+class IdleAsyncStrategy(AsyncStrategy):
+    name = "idle"
+
+    def step(self, step_no, player, view):
+        return -1
+
+
+def idle_sync_engine(inst, adversary):
+    engine = SynchronousEngine(
+        inst,
+        FixedProbeStrategy([-1]),
+        adversary=adversary,
+        config=EngineConfig(max_rounds=4, strict=False),
+    )
+    return engine, [engine.board]
+
+
+def idle_lane_engine(inst, adversary):
+    engine = BatchedEngine(
+        [inst],
+        PerLaneStrategy([FixedProbeStrategy([-1])]),
+        adversary=PerLaneAdversary([adversary]),
+        rngs=[np.random.default_rng(0)],
+        adversary_rngs=[np.random.default_rng(1)],
+        config=EngineConfig(max_rounds=4, strict=False),
+    )
+    return engine, engine.boards.lanes
+
+
+def idle_async_engine(inst, adversary):
+    engine = AsynchronousEngine(
+        inst,
+        IdleAsyncStrategy(),
+        adversary=adversary,
+        rng=np.random.default_rng(0),
+        schedule_rng=np.random.default_rng(1),
+        adversary_rng=np.random.default_rng(2),
+        max_steps=4,
+        strict=False,
+    )
+    return engine, [engine.board]
+
+
+class TestIdentityCheck:
+    """Every engine checks an adversary's turn the same way: a block with
+    any poster outside the dishonest identities raises
+    AdversaryViolationError naming the first offender, and no post of
+    that turn reaches the board."""
+
+    @pytest.mark.parametrize(
+        "offender",
+        [0, -1, 4],
+        ids=["honest-after-dishonest", "negative-id", "id-at-n"],
+    )
+    @pytest.mark.parametrize(
+        "build",
+        [idle_sync_engine, idle_lane_engine, idle_async_engine],
+        ids=["sync", "lanes", "async"],
+    )
+    def test_violating_turn_raises_and_posts_nothing(self, build, offender):
+        # players 2 and 3 are dishonest, so a -1 that wrapped around the
+        # honest mask would read player 3's slot and pass
+        inst = two_object_instance(honest=(True, True, False, False))
+        # a legal post by dishonest player 2 comes first, and honest
+        # player 1 after the offender
+        adversary = RoundZeroBlockAdversary(
+            PostBlock.votes([2, offender, 1], [0, 0, 0])
+        )
+        engine, boards = build(inst, adversary)
+        with pytest.raises(
+            AdversaryViolationError, match=f"player {offender}, "
+        ):
+            engine.run()
+        assert [len(board) for board in boards] == [0] * len(boards)
 
 
 class TestDeterminism:

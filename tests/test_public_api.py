@@ -1,8 +1,12 @@
 """Contract tests for the public API surface."""
 
 import inspect
+import os
+import re
 
 import repro
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class TestPublicSurface:
@@ -20,6 +24,14 @@ class TestPublicSurface:
         parts = repro.__version__.split(".")
         assert len(parts) == 3
         assert all(p.isdigit() for p in parts)
+
+    def test_version_is_the_newest_changelog_release(self):
+        """pyproject.toml reads its version from ``repro.__version__``,
+        so the package, every manifest and the CHANGELOG agree."""
+        with open(os.path.join(ROOT, "CHANGELOG.md")) as handle:
+            newest = re.search(r"^## (\d+\.\d+\.\d+)\b", handle.read(), re.M)
+        assert newest is not None
+        assert repro.__version__ == newest.group(1)
 
     def test_strategies_share_the_interface(self):
         from repro.strategies.base import Strategy
