@@ -10,13 +10,12 @@ Methodology
 Every cell runs in its own subprocess so ``ru_maxrss`` reflects exactly
 one run; a null subprocess (same imports, no cell) is measured first and
 subtracted, so the reported number is the cell's *incremental* peak RSS,
-not interpreter + numpy overhead. Dense cells are measured at the small
-end of the sweep and fitted linearly in ``n``; the fit is extrapolated
-to the large-``n`` cells where allocating dense per-player state would
-be wasteful or impossible. The headline criterion — sparse at
-``n = 10^5`` must sit at least ``RSS_RATIO_FLOOR``× below the dense
-extrapolation — is asserted by the pytest entry and by the CI
-``scale-smoke`` job.
+not interpreter + numpy overhead. Each cell is compared with
+:data:`POST_OBJECT_FIT`, the pinned memory curve of the post log that
+stored a ``Post`` object per post (the dense substrate until 1.17.0).
+The headline criterion — at ``n = 10^5`` each substrate must sit at
+least ``RSS_RATIO_FLOOR``× below that curve — is asserted by the pytest
+entry and by the CI ``scale-smoke`` job.
 
 Cells that both substrates run (the overlap of the dense and sparse
 sweeps) must produce bit-identical run digests: the substrate knob is
@@ -40,7 +39,7 @@ import resource
 import subprocess
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -54,18 +53,32 @@ OUTPUT_PATH = os.path.join(REPO_ROOT, "BENCH_scale.json")
 SCALE = os.environ.get("REPRO_BENCH_SCALE", "full")
 SEED = int(os.environ.get("REPRO_BENCH_SEED", "0"))
 
-#: acceptance floor: sparse incremental RSS at the headline cell must be
-#: at least this many times below the dense linear-fit extrapolation
+#: incremental peak RSS of the ``Post``-object post log as a line in n:
+#: (KB per player, KB). Pinned from the full sweep committed before
+#: 1.17.0, whose dense substrate stored a ``Post`` object and a hash-chain
+#: field snapshot per post: the line through its dense cells at n = 10^4
+#: (46,068 KB) and 3·10^4 (176,852 KB), 634,596 KB at n = 10^5. That is
+#: the stricter of the smoke and full-sweep fits; the fit through all
+#: three of its dense cells reads 649,482 KB there. Both substrates store
+#: columns since 1.17.0, so a live dense fit no longer measures it.
+POST_OBJECT_FIT = (6.5392, -19_324.0)
+#: acceptance floor: each substrate's incremental RSS at the headline
+#: cell must be at least this many times below POST_OBJECT_FIT
 RSS_RATIO_FLOOR = 5.0
 #: the cell the floor is asserted on
 HEADLINE_N = 100_000
 
+DENSE_NS = [10_000, 30_000, 100_000]
 if SCALE == "smoke":
-    DENSE_NS = [10_000, 30_000]
     SPARSE_NS = [10_000, 100_000]
 else:
-    DENSE_NS = [10_000, 30_000, 100_000]
     SPARSE_NS = [10_000, 100_000, 500_000, 1_000_000]
+
+
+def post_object_fit_kb(n: int) -> float:
+    """The pinned ``Post``-object curve at ``n`` players, in KB."""
+    slope, intercept = POST_OBJECT_FIT
+    return slope * n + intercept
 
 
 # ----------------------------------------------------------------------
@@ -182,15 +195,6 @@ def _measure_cell(
     return cell
 
 
-def _linear_fit(ns: List[int], rss_kb: List[int]):
-    slope, intercept = np.polyfit(
-        np.asarray(ns, dtype=np.float64),
-        np.asarray(rss_kb, dtype=np.float64),
-        1,
-    )
-    return float(slope), float(intercept)
-
-
 def main() -> Dict[str, object]:
     baseline = _spawn(["--null"])
     baseline_kb = int(baseline["ru_maxrss_kb"])
@@ -232,27 +236,22 @@ def main() -> Dict[str, object]:
         )
         overlap_checked.append(cell["n"])
 
-    slope, intercept = _linear_fit(
-        [cell["n"] for cell in dense_cells],
-        [cell["incremental_rss_kb"] for cell in dense_cells],
-    )
-
-    def dense_fit(n: int) -> float:
-        return slope * n + intercept
-
-    headline: Optional[Dict[str, object]] = None
-    for cell in sparse_cells:
-        cell["dense_fit_rss_kb"] = dense_fit(cell["n"])
-        cell["rss_ratio_vs_dense_fit"] = cell["dense_fit_rss_kb"] / max(
+    headline: Dict[str, Dict[str, object]] = {}
+    for cell in dense_cells + sparse_cells:
+        cell["post_object_fit_kb"] = post_object_fit_kb(cell["n"])
+        cell["rss_ratio_vs_post_object_fit"] = cell["post_object_fit_kb"] / max(
             cell["incremental_rss_kb"], 1
         )
         if cell["n"] == HEADLINE_N:
-            headline = cell
+            headline[cell["substrate"]] = cell
 
-    assert headline is not None, f"sweep must include n={HEADLINE_N}"
+    assert set(headline) == {"dense", "sparse"}, (
+        f"both sweeps must include n={HEADLINE_N}"
+    )
+    ceiling_kb = post_object_fit_kb(HEADLINE_N) / RSS_RATIO_FLOOR
 
     data = {
-        "schema": "repro-bench-scale/1",
+        "schema": "repro-bench-scale/2",
         "generated_unix": time.time(),
         "host": {
             "cpu_count": os.cpu_count(),
@@ -267,39 +266,39 @@ def main() -> Dict[str, object]:
             "record_reports=on",
             "rss_ratio_floor": RSS_RATIO_FLOOR,
             "headline_n": HEADLINE_N,
+            "post_object_fit": {
+                "slope_kb_per_player": POST_OBJECT_FIT[0],
+                "intercept_kb": POST_OBJECT_FIT[1],
+            },
         },
         "null_baseline_kb": baseline_kb,
         "dense": dense_cells,
         "sparse": sparse_cells,
-        "dense_fit": {
-            "slope_kb_per_player": slope,
-            "intercept_kb": intercept,
-            "fit_ns": [cell["n"] for cell in dense_cells],
-        },
         "bit_identical_overlap_ns": overlap_checked,
         "headline": {
             "n": HEADLINE_N,
-            "sparse_rss_kb": headline["incremental_rss_kb"],
-            "dense_fit_rss_kb": headline["dense_fit_rss_kb"],
-            "ratio": headline["rss_ratio_vs_dense_fit"],
-            "meets_floor": headline["rss_ratio_vs_dense_fit"]
-            >= RSS_RATIO_FLOOR,
+            "post_object_fit_kb": post_object_fit_kb(HEADLINE_N),
+            "ceiling_kb": ceiling_kb,
+            "sparse_rss_kb": headline["sparse"]["incremental_rss_kb"],
+            "dense_rss_kb": headline["dense"]["incremental_rss_kb"],
+            "ratio": headline["sparse"]["rss_ratio_vs_post_object_fit"],
+            "dense_ratio": headline["dense"]["rss_ratio_vs_post_object_fit"],
+            "meets_floor": all(
+                cell["rss_ratio_vs_post_object_fit"] >= RSS_RATIO_FLOOR
+                for cell in headline.values()
+            ),
         },
     }
     write_bench_json("BENCH_scale.json", data)
 
     print(f"wrote {OUTPUT_PATH}")
+    line = data["headline"]
     print(
-        f"dense fit: {slope:.3f} KB/player "
-        f"(+{intercept:.0f} KB) over n={DENSE_NS}"
-    )
-    print(
-        f"headline n={HEADLINE_N:,}: sparse "
-        f"{data['headline']['sparse_rss_kb']:,} KB vs dense fit "
-        f"{data['headline']['dense_fit_rss_kb']:,.0f} KB "
-        f"({data['headline']['ratio']:.1f}x, "
-        f"floor {RSS_RATIO_FLOOR}x, "
-        f"meets_floor={data['headline']['meets_floor']})"
+        f"headline n={HEADLINE_N:,}: sparse {line['sparse_rss_kb']:,} KB "
+        f"({line['ratio']:.1f}x), dense {line['dense_rss_kb']:,} KB "
+        f"({line['dense_ratio']:.1f}x) below the pinned Post-object fit "
+        f"{line['post_object_fit_kb']:,.0f} KB (floor {RSS_RATIO_FLOOR}x: "
+        f"ceiling {ceiling_kb:,.0f} KB, meets_floor={line['meets_floor']})"
     )
     print(f"bit-identical overlap cells: n={overlap_checked}")
     return data
@@ -310,8 +309,8 @@ def bench_scale(results_dir):
     data = main()
     assert os.path.exists(OUTPUT_PATH)
     assert data["headline"]["meets_floor"]
-    assert data["bit_identical_overlap_ns"]
-    for cell in data["sparse"]:
+    assert data["bit_identical_overlap_ns"] == sorted(set(DENSE_NS) & set(SPARSE_NS))
+    for cell in data["dense"] + data["sparse"]:
         assert cell["all_honest_satisfied"]
 
 

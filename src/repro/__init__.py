@@ -102,7 +102,7 @@ from repro.world import (
     valued_instance,
 )
 
-__version__ = "1.16.0"
+__version__ = "1.17.0"
 
 __all__ = [
     "Adversary",

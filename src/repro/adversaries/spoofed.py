@@ -71,14 +71,24 @@ class SpoofedProtocolAdversary(Adversary):
         self.inner = self.strategy_factory()
         self.inner.reset(ctx, rng)
         self._active = self.dishonest_ids.copy()
-        self._zeros = np.zeros(instance.m, dtype=np.float64)
+        # One row per distinct table (mimic gives every player the same
+        # one); row 0 is the all-zeros world of players without a table.
+        rows: Dict[int, int] = {}
+        tables = [np.zeros(instance.m, dtype=np.float64)]
+        self._table_row = np.zeros(instance.n, dtype=np.intp)
+        for player in self.dishonest_ids.tolist():
+            table = self.spoof_tables.get(player)
+            if table is None:
+                continue
+            if id(table) not in rows:
+                rows[id(table)] = len(tables)
+                tables.append(table)
+            self._table_row[player] = rows[id(table)]
+        self._tables = np.stack(tables)
 
     def _observe(self, players: np.ndarray, objects: np.ndarray) -> np.ndarray:
-        values = np.empty(players.size, dtype=np.float64)
-        for i, (player, obj) in enumerate(zip(players, objects)):
-            table = self.spoof_tables.get(int(player), self._zeros)
-            values[i] = table[int(obj)]
-        return values
+        """The spoofed value each prober sees: one gather."""
+        return self._tables[self._table_row[players], objects]
 
     # ------------------------------------------------------------------
     def act(self, round_no: int, view: BillboardView) -> Optional[PostBlock]:

@@ -7,14 +7,16 @@ object is a *vote* — the only kind of report Algorithm DISTILL consumes.
 
 The components are:
 
-* :class:`~repro.billboard.post.Post` — one immutable billboard entry.
+* :class:`~repro.billboard.post.Post` — one immutable billboard entry,
+  built when a reader asks for posts.
 * :class:`~repro.billboard.post.PostBlock` — a same-kind block of posts
   as columns: what an adversary's turn posts.
-* :class:`~repro.billboard.board.Billboard` — the append-only log with
-  integrity enforcement (the scalar engine's dense substrate).
-* :class:`~repro.billboard.columnar.ColumnarBoard` — the same log as
-  numpy columns, without the hash chain: every batched lane and the
-  sparse substrate (``substrate="sparse"``) for population-scale worlds.
+* :class:`~repro.billboard.columnar.ColumnarBoard` — the append-only log
+  as numpy columns: every batched lane and the sparse substrate
+  (``substrate="sparse"``).
+* :class:`~repro.billboard.board.Billboard` — the same board plus a lazy
+  hash chain for tamper evidence (the scalar engine's dense substrate
+  and the asynchronous engine).
 * :class:`~repro.billboard.votes.VoteLedger` — the *reader-side* vote
   accounting of every board: one vote per player (Figure 1), or the
   first ``f`` votes (Section 4.1), or the mutable best-so-far vote

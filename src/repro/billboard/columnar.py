@@ -1,31 +1,86 @@
-"""The columnar post log: the §2.1 board stored as numpy columns.
+"""The post log: the §2.1 board stored as numpy columns.
 
-:class:`ColumnarBoard` is the board :class:`~repro.billboard.board.Billboard`
-is — same write contract, validation errors and read API — stored as
-five growable columns (round, player, object, value, kind) instead of a
-:class:`Post` object per entry, and without the hash chain. It serves
-every batched lane, the scalar engine's sparse substrate and
-``repro serve --substrate sparse``, and reads its votes through the same
-:class:`~repro.billboard.votes.VoteLedger` as ``Billboard``.
+:class:`ColumnarBoard` is the append-only, tagged, timestamped board of
+the paper, stored as five growable columns (round, player, object,
+value, kind), and reads its votes through a
+:class:`~repro.billboard.votes.VoteLedger`. A :class:`Post` record
+exists only when a reader asks for one. The board serves every batched
+lane, the scalar engine's sparse substrate and ``repro serve
+--substrate sparse``; :class:`~repro.billboard.board.Billboard` is this
+board plus a lazy hash chain.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Union
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.billboard.board import Billboard, Entry
-from repro.billboard.post import Post, PostKind
+from repro.billboard.post import Entry, Post, PostKind
 from repro.billboard.votes import VoteLedger, VoteMode, _IntColumn
 from repro.errors import InvalidPostError, TamperError
+
+#: the five columns of a post log, in row order: round, player, object,
+#: value, kind (1 for a vote)
+Columns = Tuple[_IntColumn, _IntColumn, _IntColumn, _IntColumn, _IntColumn]
+
+
+def _new_columns() -> Columns:
+    """Five empty post columns. Ids fit int32 (the substrate knob
+    matters far below 2^31 players) and a kind is one byte: 21 bytes
+    per post."""
+    return (
+        _IntColumn(dtype=np.int32),
+        _IntColumn(dtype=np.int32),
+        _IntColumn(dtype=np.int32),
+        _IntColumn(dtype=np.float64),
+        _IntColumn(dtype=np.int8),
+    )
+
+
+def _append_row(columns: Columns, post: Post) -> None:
+    """Write one post into ``columns`` without building an array."""
+    rounds, players, objects, values, kinds = columns
+    rounds.append(post.round_no)
+    players.append(post.player)
+    objects.append(post.object_id)
+    values.append(post.reported_value)
+    kinds.append(post.kind is PostKind.VOTE)
+
+
+def _extend_rows(
+    columns: Columns,
+    round_no: int,
+    players: np.ndarray,
+    objects: np.ndarray,
+    values: np.ndarray,
+    votes: np.ndarray,
+) -> None:
+    """Write one round's posts into ``columns``; ids and kinds narrow as
+    they are copied in."""
+    rounds, player_col, object_col, value_col, kinds = columns
+    rounds.extend(np.full(players.size, round_no, np.int32))
+    player_col.extend(players)
+    object_col.extend(objects)
+    value_col.extend(values)
+    kinds.extend(votes)
 
 
 class ColumnarBoard:
     """Append-only post log in numpy columns, plus its vote ledger.
 
-    Takes :class:`Billboard`'s arguments and keeps the same
-    :class:`VoteLedger`.
+    The board validates identities and timestamps; vote *semantics*
+    (which votes count) live in the attached :class:`VoteLedger` because
+    they are a reader-side convention, not a property of the medium.
+
+    Parameters
+    ----------
+    n_players, n_objects:
+        World dimensions used for identity/object validation.
+    vote_mode:
+        Reader-side vote rule (see :class:`VoteMode`).
+    max_votes_per_player:
+        The ``f`` of Section 4.1 (MULTI mode only).
     """
 
     __slots__ = (
@@ -55,25 +110,65 @@ class ColumnarBoard:
             mode=vote_mode,
             max_votes_per_player=max_votes_per_player,
         )
-        # Ids fit int32 (the substrate knob matters far below 2^31
-        # players) and a kind is one byte: 21 bytes per post.
-        self._rounds = _IntColumn(dtype=np.int32)
-        self._players = _IntColumn(dtype=np.int32)
-        self._objects = _IntColumn(dtype=np.int32)
-        self._values = _IntColumn(dtype=np.float64)
-        self._kinds = _IntColumn(dtype=np.int8)
+        (
+            self._rounds,
+            self._players,
+            self._objects,
+            self._values,
+            self._kinds,
+        ) = _new_columns()
         self._last_round = -1
+
+    def _columns(self) -> Columns:
+        return (self._rounds, self._players, self._objects, self._values, self._kinds)
 
     # ------------------------------------------------------------------
     # Appending. No public write calls another, so a wrapper around one
-    # (perfbench/sims.py wraps all three) counts each post once.
+    # (perfbench/sims.py wraps post_block, append_many and post_entries)
+    # counts each post once.
     # ------------------------------------------------------------------
+    def append(
+        self,
+        round_no: int,
+        player: int,
+        object_id: int,
+        reported_value: float,
+        kind: PostKind,
+    ) -> Post:
+        """Stamp, validate, and append one post; returns its record.
+
+        The one-row write (the asynchronous engine posts one row per
+        step): it builds no array, so it costs a few microseconds where
+        a one-row :meth:`post_block` costs tens.
+
+        Raises
+        ------
+        InvalidPostError
+            If the player or object id is out of range, or the round is
+            negative.
+        TamperError
+            If the round number is earlier than an already-appended post
+            (which would amount to rewriting history).
+        """
+        self._validate_entry(round_no, player, object_id)
+        post = Post(
+            len(self._rounds), round_no, player, object_id,
+            float(reported_value), kind,
+        )
+        self._append(post)
+        if post.is_vote:
+            self.ledger.record(post)
+        return post
+
     def append_many(self, round_no: int, entries: Sequence[Entry]) -> None:
         """Stamp, validate, and append a batch of posts for one round.
 
-        :meth:`Billboard.append_many`'s all-or-nothing contract, errors
-        and empty-batch no-op; it returns nothing, as posts exist only
-        as columns until read.
+        ``entries`` is a sequence of ``(player, object_id,
+        reported_value, kind)`` tuples. Equivalent to calling
+        :meth:`append` once per entry in order, but the whole batch is
+        validated *before* anything is appended (all-or-nothing): on
+        error the board is unchanged, and the error is the first bad
+        entry's. An empty batch is an explicit no-op.
         """
         if not entries:
             return
@@ -119,8 +214,8 @@ class ColumnarBoard:
     def _validate(
         self, round_no: int, players: np.ndarray, objects: np.ndarray
     ) -> None:
-        """Raise :meth:`Billboard.append_many`'s error for this batch: the
-        first bad entry's, in entry order."""
+        """Raise :meth:`append`'s error for the first bad entry of this
+        batch, in entry order."""
         # The round checks are the same for every entry, so entry 0
         # raises them unless its own ids fail first.
         self._validate_entry(round_no, int(players[0]), int(objects[0]))
@@ -151,6 +246,13 @@ class ColumnarBoard:
                 "was already on the board (append-only violation)"
             )
 
+    # The two row writes every append path ends in (Billboard extends
+    # both to keep its pending chain copy).
+    def _append(self, post: Post) -> None:
+        """Write one validated post."""
+        _append_row(self._columns(), post)
+        self._last_round = post.round_no
+
     def _extend(
         self,
         round_no: int,
@@ -159,16 +261,12 @@ class ColumnarBoard:
         values: np.ndarray,
         votes: np.ndarray,
     ) -> None:
-        """Append a validated batch; ids and kinds narrow as copied in."""
-        self._rounds.extend(np.full(players.size, round_no, np.int32))
-        self._players.extend(players)
-        self._objects.extend(objects)
-        self._values.extend(values)
-        self._kinds.extend(votes)
+        """Write one validated round's batch."""
+        _extend_rows(self._columns(), round_no, players, objects, values, votes)
         self._last_round = round_no
 
     # ------------------------------------------------------------------
-    # Reading (the Billboard API BillboardView forwards to)
+    # Reading (the API BillboardView forwards to)
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._rounds)
@@ -186,24 +284,49 @@ class ColumnarBoard:
         """Round stamp of the newest post (``-1`` for an empty board)."""
         return self._last_round
 
+    def _cutoff(self, before_round: Optional[int]) -> int:
+        """How many posts are stamped before ``before_round`` (rounds
+        never decrease, so it is a binary search)."""
+        if before_round is None:
+            return len(self._rounds)
+        return int(np.searchsorted(self._rounds.view(), before_round, side="left"))
+
     def posts(
         self,
         kind: Optional[PostKind] = None,
         player: Optional[int] = None,
         before_round: Optional[int] = None,
     ) -> List[Post]:
-        """The log in append order, filtered as :meth:`Billboard.posts`
-        filters, as ``Post`` records built for this call."""
-        rounds = self._rounds.view()
-        cutoff = rounds.size
-        if before_round is not None:
-            cutoff = int(np.searchsorted(rounds, before_round, side="left"))
+        """The log in append order, as ``Post`` records built for this
+        call, optionally filtered by kind and poster.
+
+        ``before_round`` keeps only posts stamped strictly earlier — the
+        honest player's view at the start of that round.
+        """
+        cutoff = self._cutoff(before_round)
         keep = np.ones(cutoff, dtype=bool)
         if kind is not None:
             keep &= self._kinds.view()[:cutoff] == (kind is PostKind.VOTE)
         if player is not None:
             keep &= self._players.view()[:cutoff] == player
         return self._materialize(np.flatnonzero(keep))
+
+    def post_columns(
+        self, kind: PostKind, before_round: Optional[int] = None
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(players, objects, values)`` of the posts of ``kind`` stamped
+        before ``before_round``, in append order, as read-only arrays:
+        :meth:`posts` without a record per post."""
+        cutoff = self._cutoff(before_round)
+        keep = self._kinds.view()[:cutoff] == (kind is PostKind.VOTE)
+        out = (
+            self._players.view()[:cutoff][keep],
+            self._objects.view()[:cutoff][keep],
+            self._values.view()[:cutoff][keep],
+        )
+        for column in out:
+            column.flags.writeable = False
+        return out
 
     def _materialize(self, seqs: np.ndarray) -> List[Post]:
         kinds = (PostKind.REPORT, PostKind.VOTE)
@@ -242,7 +365,3 @@ class ColumnarBoard:
     def counts_in_window(self, start_round: int, end_round: int) -> np.ndarray:
         """See :meth:`VoteLedger.counts_in_window`."""
         return self.ledger.counts_in_window(start_round, end_round)
-
-
-#: either post log (what views, the engines and the serving layer take)
-AnyBoard = Union[Billboard, ColumnarBoard]

@@ -1,12 +1,12 @@
 """The batched engine's boards: one columnar board per trial lane.
 
-Each lane of :mod:`repro.sim.batch_engine` needs :class:`Billboard`'s
-exact reader semantics without its per-post overhead, so each is a
+Each lane of :mod:`repro.sim.batch_engine` is a
 :class:`~repro.billboard.columnar.ColumnarBoard` with its own
 :class:`~repro.billboard.votes.VoteLedger`; the ``substrate`` knob does
 not apply to lanes. Lanes live and die inside one engine call, so they
-need no hash chain; the golden equivalence suite against the scalar
-engine is the batched path's integrity guarantee.
+carry no hash chain (:class:`~repro.billboard.board.Billboard`'s only
+addition); the golden equivalence suite against the scalar engine is
+the batched path's integrity guarantee.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -81,6 +81,11 @@ class Post:
             f"player={self.player} object={self.object_id} "
             f"value={self.reported_value:g}"
         )
+
+
+#: one ``(player, object_id, reported_value, kind)`` row of a board's
+#: ``append_many`` batch
+Entry = Tuple[int, int, float, PostKind]
 
 
 class PostBlock(NamedTuple):

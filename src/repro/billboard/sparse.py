@@ -1,17 +1,16 @@
 """The ``substrate`` knob: which post log the scalar engine and
 ``repro serve`` keep.
 
-Every board reads its votes through one
-:class:`~repro.billboard.votes.VoteLedger`; what the knob selects is
-the post log beside it. ``dense`` keeps the
-:class:`~repro.billboard.board.Billboard`, a
-:class:`~repro.billboard.post.Post` object and a hash-chain field
-snapshot per post. ``sparse`` keeps the
-:class:`~repro.billboard.columnar.ColumnarBoard`, 21 bytes of numpy
-columns per post, which is what lets n = 10^5–10^6 worlds fit
-(BENCH_scale.json). Lanes always run the columnar board. ``auto`` picks
-sparse at or above :data:`SPARSE_AUTO_THRESHOLD` players. Selection is
-**bit-inert**: for the same seed both substrates produce identical
+Both substrates store posts as the same numpy columns (21 bytes a post)
+and read their votes through one
+:class:`~repro.billboard.votes.VoteLedger`. ``dense`` keeps the
+:class:`~repro.billboard.board.Billboard`, which adds a lazy hash chain
+and so a pending copy of the rows written since its digest was last
+read; ``sparse`` keeps the plain
+:class:`~repro.billboard.columnar.ColumnarBoard`. Lanes always run the
+columnar board. ``auto`` picks sparse at or above
+:data:`SPARSE_AUTO_THRESHOLD` players. Selection is **bit-inert**: for
+the same seed both substrates produce identical
 :class:`~repro.sim.metrics.RunMetrics`.
 """
 
@@ -23,13 +22,13 @@ from repro.billboard.columnar import ColumnarBoard
 from repro.billboard.votes import VoteLedger
 from repro.errors import ConfigurationError
 
-#: ``substrate="auto"`` picks the columnar post log at or above this
-#: many players, where ``Billboard``'s per-post objects dominate RSS
-#: (BENCH_scale.json). Below it ``auto`` keeps ``Billboard``, though no
-#: bench shows that faster: on the benchmark's scalar_e3 cell (n=4096,
-#: E3, 6 x 8 scalar trials) ``Billboard`` took 1.6-2.1x the columnar
-#: board's wall time at 0.9 MB more peak RSS, same digest, in six
-#: interleaved pairs (docs/performance.md, "The substrate knob").
+#: ``substrate="auto"`` picks the chainless post log at or above this many
+#: players. Until 1.17.0 ``Billboard`` stored a ``Post`` object per post,
+#: whose RSS dominated at that scale (BENCH_scale.json); now the chain's
+#: pending copy (21 bytes a post until the digest is read) is all it
+#: adds, and no bench needs the threshold. It stays because the
+#: benchmark's workloads pin the ``dense``/``sparse`` labels it yields
+#: (docs/performance.md, "The substrate knob").
 SPARSE_AUTO_THRESHOLD = 32_768
 
 #: valid values of the ``substrate`` knob, in documentation order

@@ -14,11 +14,11 @@ methods and (b) pins the *visibility horizon*:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.billboard.columnar import AnyBoard
+from repro.billboard.columnar import ColumnarBoard
 from repro.billboard.post import Post, PostKind
 
 
@@ -41,7 +41,7 @@ class BillboardView:
 
     __slots__ = ("_board", "before_round")
 
-    def __init__(self, board: AnyBoard, before_round: Optional[int] = None) -> None:
+    def __init__(self, board: ColumnarBoard, before_round: Optional[int] = None) -> None:
         self._board = board
         self.before_round = before_round
 
@@ -72,6 +72,13 @@ class BillboardView:
     def vote_posts(self) -> List[Post]:
         """Visible vote posts (whether or not effective for readers)."""
         return self._board.vote_posts(before_round=self.before_round)
+
+    def post_columns(
+        self, kind: PostKind
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(players, objects, values)`` of the visible posts of
+        ``kind``, as read-only arrays in append order."""
+        return self._board.post_columns(kind, before_round=self.before_round)
 
     def current_vote_array(self) -> np.ndarray:
         """Each player's current effective vote (``-1`` when none)."""
@@ -131,7 +138,7 @@ class SnapshotView(BillboardView):
 
     __slots__ = ()
 
-    def __init__(self, board: AnyBoard, epoch: int) -> None:
+    def __init__(self, board: ColumnarBoard, epoch: int) -> None:
         if epoch < 0:
             raise ValueError(f"epoch must be non-negative, got {epoch}")
         super().__init__(board, before_round=epoch)

@@ -57,7 +57,7 @@ class _IntColumn:
     def __len__(self) -> int:
         return self._size
 
-    def append(self, value: int) -> None:
+    def append(self, value: float) -> None:
         if self._size == self._buf.shape[0]:
             self._grow(self._size + 1)
         self._buf[self._size] = value

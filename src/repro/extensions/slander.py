@@ -27,7 +27,7 @@ the robust choice.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Optional
 
 import numpy as np
 
@@ -50,12 +50,14 @@ def discredited_objects(
     ``value_cutoff``; only each reporter's first report per object
     counts (reader-side capping, like the vote rule).
     """
-    reporters: Dict[int, Set[int]] = {}
-    for post in view.posts(kind=PostKind.REPORT):
-        if post.reported_value < value_cutoff:
-            reporters.setdefault(post.object_id, set()).add(post.player)
-    bad = [obj for obj, who in reporters.items() if len(who) >= threshold]
-    return np.array(sorted(bad), dtype=np.int64)
+    players, objects, values = view.post_columns(PostKind.REPORT)
+    negative = values < value_cutoff
+    # one (object, reporter) pair per distinct negative report
+    pairs = np.unique(
+        objects[negative].astype(np.int64) * view.n_players + players[negative]
+    )
+    reporters = np.bincount(pairs // view.n_players)
+    return np.flatnonzero(reporters >= max(threshold, 1)).astype(np.int64)
 
 
 class SlanderingDistill(DistillStrategy):

@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.billboard.columnar import AnyBoard
+from repro.billboard.columnar import ColumnarBoard
 from repro.billboard.views import SnapshotView
 from repro.core.parameters import DistillParameters
 from repro.core.tracker import DistillPhaseTracker
@@ -55,7 +55,7 @@ class OnlineDistillRecommender:
 
     def __init__(
         self,
-        board: AnyBoard,
+        board: ColumnarBoard,
         ctx: StrategyContext,
         params: Optional[DistillParameters] = None,
     ) -> None:
@@ -173,7 +173,7 @@ class OnlineDistillRecommender:
 
 
 def batch_recommender(
-    board: AnyBoard,
+    board: ColumnarBoard,
     ctx: StrategyContext,
     epoch: int,
     params: Optional[DistillParameters] = None,

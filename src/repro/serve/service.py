@@ -62,9 +62,9 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.billboard.board import Billboard, Entry
-from repro.billboard.columnar import AnyBoard, ColumnarBoard
-from repro.billboard.post import PostKind
+from repro.billboard.board import Billboard
+from repro.billboard.columnar import ColumnarBoard
+from repro.billboard.post import Entry, PostKind
 from repro.billboard.sparse import choose_substrate
 from repro.billboard.views import SnapshotView
 from repro.errors import ConfigurationError
@@ -117,7 +117,7 @@ class BillboardService:
     ) -> None:
         self.config = config
         self.substrate = choose_substrate(config.substrate, config.n_players)
-        self.board: AnyBoard = (
+        self.board: ColumnarBoard = (
             ColumnarBoard(config.n_players, config.n_objects)
             if self.substrate == "sparse"
             else Billboard(config.n_players, config.n_objects)

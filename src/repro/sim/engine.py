@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.adversaries.base import Adversary, check_block
 from repro.billboard.board import Billboard
-from repro.billboard.columnar import AnyBoard, ColumnarBoard
+from repro.billboard.columnar import ColumnarBoard
 from repro.billboard.post import PostKind
 from repro.billboard.sparse import choose_substrate
 from repro.billboard.views import BillboardView
@@ -164,7 +164,7 @@ class SynchronousEngine:
         self.substrate = choose_substrate(substrate, instance.n)
         board_args = (instance.n, instance.m, self.config.vote_mode,
                       self.config.max_votes_per_player)
-        self.board: AnyBoard = (
+        self.board: ColumnarBoard = (
             ColumnarBoard(*board_args)
             if self.substrate == "sparse"
             else Billboard(*board_args)

@@ -862,8 +862,8 @@ def run_trials(
         ``executor`` field.
     substrate:
         Post log of every scalar trial's engine: ``"dense"`` (the
-        ``Post``-object :class:`~repro.billboard.board.Billboard`),
-        ``"sparse"`` (the columnar board — see
+        hash-chained :class:`~repro.billboard.board.Billboard`),
+        ``"sparse"`` (the chainless columnar board — see
         :mod:`repro.billboard.sparse`), or ``"auto"`` (``None`` too) to
         pick sparse at or above
         :data:`~repro.billboard.sparse.SPARSE_AUTO_THRESHOLD` players.

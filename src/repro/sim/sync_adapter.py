@@ -37,7 +37,7 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.billboard.board import Billboard
+from repro.billboard.columnar import ColumnarBoard
 from repro.billboard.post import PostKind
 from repro.billboard.views import BillboardView
 from repro.core.distill import DistillStrategy
@@ -65,7 +65,8 @@ class SynchronizedDistillAdapter(AsyncStrategy):
                 "(local-testing) algorithm"
             )
         # mirror board: DISTILL's vote windows measured in virtual rounds
-        self._mirror = Billboard(ctx.n, ctx.m)
+        # (private and derived from the run's board, so it needs no chain)
+        self._mirror = ColumnarBoard(ctx.n, ctx.m)
         self.tracker = DistillPhaseTracker(ctx, self.params)
         self.alternator = AdviceAlternator(ctx.n)
         self._vround = np.zeros(ctx.n, dtype=np.int64)

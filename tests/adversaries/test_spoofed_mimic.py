@@ -1,6 +1,7 @@
 """Tests for protocol-mimicking adversaries (spoofed values, lures)."""
 
 import numpy as np
+import pytest
 
 from repro.adversaries.mimic import MimicAdversary
 from repro.adversaries.spoofed import SpoofedProtocolAdversary
@@ -80,6 +81,61 @@ class TestSpoofedProtocol:
             if not inst.honest_mask[p.player]
         )
         assert len(set(vote_rounds)) > 1  # spread over time
+
+
+class TestSpoofedObservation:
+    """``_observe`` gathers from a stack of the distinct tables; it must
+    see exactly what a per-prober table lookup sees."""
+
+    @staticmethod
+    def per_player_reference(adversary, players, objects, m):
+        zeros = np.zeros(m)
+        return np.array(
+            [
+                adversary.spoof_tables.get(int(p), zeros)[int(o)]
+                for p, o in zip(players, objects)
+            ],
+            dtype=np.float64,
+        )
+
+    def _tables(self, inst, layout, rng):
+        dishonest = inst.dishonest_ids.tolist()
+        if layout == "shared":
+            table = rng.random(inst.m)
+            return {p: table for p in dishonest}
+        if layout == "per-player":
+            return {p: rng.random(inst.m) for p in dishonest}
+        # half the cohort without a table, the rest split over two
+        shared = [rng.random(inst.m), rng.random(inst.m)]
+        return {p: shared[i % 2] for i, p in enumerate(dishonest[::2])}
+
+    @pytest.mark.parametrize("layout", ["shared", "per-player", "partial"])
+    def test_gather_matches_per_player_lookup(self, layout):
+        rng = np.random.default_rng(21)
+        inst = make_world(alpha=0.5, seed=21)
+        adversary = SpoofedProtocolAdversary(
+            strategy_factory=DistillStrategy,
+            spoof_tables=self._tables(inst, layout, rng),
+        )
+        adversary.reset(inst, np.random.default_rng(22))
+        for _ in range(20):
+            k = int(rng.integers(0, 3 * inst.n))
+            players = rng.choice(inst.dishonest_ids, size=k)
+            objects = rng.integers(0, inst.m, size=k)
+            got = adversary._observe(players, objects)
+            want = self.per_player_reference(adversary, players, objects, inst.m)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_players_without_tables_observe_zeros(self):
+        inst = make_world()
+        adversary = SpoofedProtocolAdversary(
+            strategy_factory=DistillStrategy, spoof_tables={}
+        )
+        adversary.reset(inst, np.random.default_rng(1))
+        players = inst.dishonest_ids
+        values = adversary._observe(players, np.zeros(players.size, dtype=np.int64))
+        assert np.array_equal(values, np.zeros(players.size))
 
 
 class TestMimic:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.billboard.board import Billboard
+from repro.billboard.columnar import ColumnarBoard
 from repro.billboard.post import PostKind
 from repro.errors import InvalidPostError, TamperError
 
@@ -23,6 +24,15 @@ def _golden_entries():
         (1, 2, 3, 0.25, PostKind.REPORT),
         (3, 0, 1, -2.5, PostKind.VOTE),
     ]
+
+
+def _edit_columns(board, edit):
+    """Rewrite every stored column behind the append API: ``edit`` maps
+    a column's filled rows to the rows to store instead."""
+    for column in board._columns():
+        rows = edit(column._buf[: len(column)].copy())
+        column._buf[: rows.size] = rows
+        column._size = rows.size
 
 
 class TestAppend:
@@ -148,34 +158,27 @@ class TestIntegrityChain:
         board.verify_integrity()
 
     def test_mutated_post_detected(self, board):
-        from repro.billboard.post import Post
-
         board.append(0, 1, 2, 1.0, PostKind.VOTE)
         board.append(1, 2, 3, 1.0, PostKind.VOTE)
         # simulate an out-of-API mutation of history
-        original = board._posts[0]
-        board._posts[0] = Post(
-            seq=original.seq,
-            round_no=original.round_no,
-            player=original.player,
-            object_id=9,  # changed
-            reported_value=original.reported_value,
-            kind=original.kind,
-        )
+        board._objects._buf[0] = 9
+        assert board[0].object_id == 9
         with pytest.raises(TamperError):
             board.verify_integrity()
 
     def test_reordered_posts_detected(self, board):
         board.append(0, 1, 2, 1.0, PostKind.VOTE)
         board.append(1, 2, 3, 1.0, PostKind.VOTE)
-        board._posts.reverse()
+        _edit_columns(board, lambda rows: rows[::-1])
+        assert [p.player for p in board] == [2, 1]
         with pytest.raises(TamperError):
             board.verify_integrity()
 
     def test_deleted_post_detected(self, board):
         board.append(0, 1, 2, 1.0, PostKind.VOTE)
         board.append(1, 2, 3, 1.0, PostKind.VOTE)
-        del board._posts[0]
+        _edit_columns(board, lambda rows: rows[1:])
+        assert len(board) == 1
         with pytest.raises(TamperError):
             board.verify_integrity()
 
@@ -186,22 +189,40 @@ class TestIntegrityChain:
         assert b.head_digest == GOLDEN_DIGEST
 
     def test_mutation_before_materialization_detected(self, board):
-        """The lazy chain snapshots fields at append time, so tampering
-        with a stored post before the digest is ever read still fails."""
-        from repro.billboard.post import Post
-
+        """The lazy chain copies each write's rows, so tampering with a
+        stored post before the digest is ever read still fails."""
         board.append(0, 1, 2, 1.0, PostKind.VOTE)
-        original = board._posts[0]
-        board._posts[0] = Post(
-            seq=original.seq,
-            round_no=original.round_no,
-            player=original.player,
-            object_id=9,  # changed without reading head_digest first
-            reported_value=original.reported_value,
-            kind=original.kind,
-        )
+        board._objects._buf[0] = 9  # changed without reading head_digest first
         with pytest.raises(TamperError):
             board.verify_integrity()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda rows: np.where(np.arange(rows.size) == 1, rows + 1, rows),
+            lambda rows: rows[::-1],
+            lambda rows: rows[1:],
+        ],
+        ids=["mutated", "reordered", "deleted"],
+    )
+    def test_digest_first_read_after_an_edit_is_the_untampered_one(self, edit):
+        """The head digest folds the copies taken at write time, not the
+        live columns: read first after an edit, it is still the clean
+        board's, and verification sees the edit whether the digest was
+        read before it or not."""
+        clean, tampered, read_first = (Billboard(4, 4) for _ in range(3))
+        for board_ in (clean, tampered, read_first):
+            for round_no, player, obj, value, kind in _golden_entries():
+                board_.append(round_no, player, obj, value, kind)
+        read_first.head_digest
+        for board_ in (tampered, read_first):
+            _edit_columns(board_, edit)
+        assert tampered.head_digest == clean.head_digest == GOLDEN_DIGEST
+        assert read_first.head_digest == GOLDEN_DIGEST
+        clean.verify_integrity()
+        for board_ in (tampered, read_first):
+            with pytest.raises(TamperError):
+                board_.verify_integrity()
 
     def test_digest_independent_of_read_schedule(self):
         """Polling head_digest mid-history must not change the final value."""
@@ -238,9 +259,11 @@ class TestIntegrityChain:
 
 class TestAppendMany:
     def test_empty_batch_is_a_noop(self, board):
-        assert board.append_many(0, []) == []
+        digest = board.head_digest
+        assert board.append_many(0, []) is None
         assert len(board) == 0
         assert board.last_round == -1
+        assert board.head_digest == digest
 
     def test_batch_matches_per_post_appends(self):
         eager = Billboard(4, 4)
@@ -253,12 +276,13 @@ class TestAppendMany:
 
     def test_sequential_seqs_across_batches(self, board):
         board.append(0, 0, 0, 0.0, PostKind.REPORT)
-        posts = board.append_many(
+        board.append_many(
             1,
             [(1, 1, 1.0, PostKind.VOTE), (2, 2, 0.0, PostKind.REPORT)],
         )
-        assert [p.seq for p in posts] == [1, 2]
-        assert board[2].player == 2
+        assert len(board) == 3
+        assert [p.seq for p in board] == [0, 1, 2]
+        assert [board[seq].player for seq in (1, 2)] == [1, 2]
 
     def test_batch_feeds_ledger(self, board):
         board.append_many(
@@ -326,3 +350,41 @@ def test_append_many_equivalent_to_eager_appends(entries, batch_size):
     )
     batched.verify_integrity()
     eager.verify_integrity()
+
+
+# ----------------------------------------------------------------------
+# Property: a one-row append ≡ a one-row post_block
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("board_cls", [Billboard, ColumnarBoard])
+@given(st.lists(st.tuples(st.integers(0, 1), _entry), max_size=30))
+@settings(max_examples=60, deadline=None)
+def test_one_row_append_matches_one_row_post_block(board_cls, rows):
+    """``append`` skips the arrays but not the contract: the same
+    stored columns (values and dtypes), ledger state and head digest as
+    ``post_block`` called with one row."""
+    appended = board_cls(8, 16)
+    blocked = board_cls(8, 16)
+    round_no = 0
+    for step, (player, obj, value, kind) in rows:
+        round_no += step
+        post = appended.append(round_no, player, obj, value, kind)
+        blocked.post_block(
+            round_no, np.array([player]), np.array([obj]), np.array([value]), kind
+        )
+        assert post == blocked[-1]
+    for a, b in zip(appended._columns(), blocked._columns()):
+        assert a.view().dtype == b.view().dtype
+        assert np.array_equal(a.view(), b.view())
+    assert appended.last_round == blocked.last_round
+    for horizon in (None, 0, round_no, round_no + 1):
+        for query in ("current_vote_array", "objects_with_votes"):
+            assert np.array_equal(
+                getattr(appended, query)(horizon), getattr(blocked, query)(horizon)
+            )
+    assert np.array_equal(
+        appended.counts_in_window(0, round_no + 1),
+        blocked.counts_in_window(0, round_no + 1),
+    )
+    if board_cls is Billboard:
+        assert appended.head_digest == blocked.head_digest
+        appended.verify_integrity()

@@ -25,6 +25,7 @@ from repro.billboard.sparse import (
     choose_substrate,
     normalize_substrate,
 )
+from repro.billboard.views import BillboardView
 from repro.billboard.votes import VoteLedger, VoteMode
 from repro.errors import ConfigurationError, InvalidPostError, ReproError
 
@@ -130,7 +131,8 @@ class TestLedgerParity:
 def _write(board, round_no, entries, path):
     """Append one round's entries through ``path``: one ``append_many``
     call, or one ``post_block`` call per run of same-kind entries (entry
-    order kept). ``Billboard`` has only ``append_many``."""
+    order kept). ``Billboard`` is always written through ``append_many``,
+    so the parity tests hold each path against that one."""
     if path == "append_many" or isinstance(board, Billboard):
         board.append_many(round_no, entries)
         return
@@ -143,6 +145,26 @@ def _write(board, round_no, entries, path):
             np.array([e[2] for e in run]),
             kind,
         )
+
+
+def _assert_post_columns_match_posts(board, kind, horizon):
+    """``post_columns`` is ``posts()`` as read-only columns, through the
+    board and through a view at the same horizon."""
+    posts = board.posts(kind=kind, before_round=horizon)
+    expected = (
+        [p.player for p in posts],
+        [p.object_id for p in posts],
+        [p.reported_value for p in posts],
+    )
+    view = BillboardView(board, before_round=horizon)
+    for columns in (
+        board.post_columns(kind, before_round=horizon),
+        view.post_columns(kind),
+    ):
+        assert [c.tolist() for c in columns] == list(expected), (kind, horizon)
+        for column in columns:
+            with pytest.raises(ValueError):
+                column[:1] = 0
 
 
 def _assert_boards_agree(dense, columnar):
@@ -213,15 +235,40 @@ class TestBoardParity:
                 round_no += int(rng.integers(0, 2))
             _assert_boards_agree(dense, columnar)
 
+    @pytest.mark.parametrize("path", WRITE_PATHS)
+    def test_post_columns_match_posts(self, path):
+        rng = np.random.default_rng(11)
+        boards = self._boards("single")
+        round_no = 0
+        for _step in range(30):
+            entries = [
+                (
+                    int(rng.integers(16)),
+                    int(rng.integers(8)),
+                    float(rng.random()),
+                    PostKind.VOTE if rng.random() < 0.5 else PostKind.REPORT,
+                )
+                for _ in range(int(rng.integers(0, 5)))
+            ]
+            for board in boards:
+                _write(board, round_no, entries, path)
+            round_no += int(rng.integers(0, 3))
+        for board in boards:
+            for horizon in [None, *range(round_no + 2)]:
+                for kind in PostKind:
+                    _assert_post_columns_match_posts(board, kind, horizon)
+
     def test_empty_append_many_is_a_no_op(self):
         empty_ids = np.zeros(0, dtype=np.int64)
         dense, columnar = self._boards("single")
-        assert dense.append_many(5, []) == []
-        columnar.append_many(5, [])
-        columnar.post_block(
-            5, empty_ids, empty_ids, np.zeros(0), PostKind.VOTE
-        )
+        digest = dense.head_digest
+        for board in (dense, columnar):
+            assert board.append_many(5, []) is None
+            board.post_block(
+                5, empty_ids, empty_ids, np.zeros(0), PostKind.VOTE
+            )
         _assert_boards_agree(dense, columnar)
+        assert dense.head_digest == digest
         assert len(columnar) == 0 and columnar.last_round == -1
         # a later batch at an *earlier* round still succeeds: the
         # empty batch must not have advanced the round clock

@@ -18,6 +18,7 @@ from repro.extensions.slander import (
     discredited_objects,
 )
 from repro.billboard.board import Billboard
+from repro.billboard.columnar import ColumnarBoard
 from repro.billboard.views import BillboardView
 from repro.sim.engine import EngineConfig, SynchronousEngine
 from repro.world.generators import planted_instance
@@ -43,6 +44,42 @@ class TestDiscreditedObjects:
     def test_threshold_one(self):
         view = self.make_view([(0, 3, 0.0)])
         assert np.array_equal(discredited_objects(view, 1, 0.5), [3])
+
+    @staticmethod
+    def per_post_reference(view, threshold, value_cutoff):
+        """The original walk over ``Post`` records, one set per object."""
+        reporters = {}
+        for post in view.posts(kind=PostKind.REPORT):
+            if post.reported_value < value_cutoff:
+                reporters.setdefault(post.object_id, set()).add(post.player)
+        bad = [obj for obj, who in reporters.items() if len(who) >= threshold]
+        return np.array(sorted(bad), dtype=np.int64)
+
+    @pytest.mark.parametrize("board_cls", [Billboard, ColumnarBoard])
+    def test_matches_the_per_post_reference(self, board_cls):
+        rng = np.random.default_rng(17)
+        for _trial in range(20):
+            n, m = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+            board = board_cls(n, m)
+            rounds = int(rng.integers(1, 8))
+            for round_no in range(rounds):
+                k = int(rng.integers(0, 3 * n))
+                kind = PostKind.REPORT if rng.random() < 0.8 else PostKind.VOTE
+                board.post_block(
+                    round_no,
+                    rng.integers(0, n, size=k),
+                    rng.integers(0, m, size=k),
+                    rng.random(k),
+                    kind,
+                )
+            for horizon in [None, *range(rounds + 1)]:
+                view = BillboardView(board, before_round=horizon)
+                for threshold in (0, 1, 2, 3):
+                    for cutoff in (0.0, 0.3, 0.7):
+                        got = discredited_objects(view, threshold, cutoff)
+                        want = self.per_post_reference(view, threshold, cutoff)
+                        assert got.dtype == want.dtype
+                        assert np.array_equal(got, want), (horizon, threshold)
 
 
 class TestSlander:
