@@ -7,10 +7,14 @@ per second for each cell.
 
 Methodology
 -----------
-Every cell runs in its own subprocess so ``ru_maxrss`` reflects exactly
-one run; a null subprocess (same imports, no cell) is measured first and
-subtracted, so the reported number is the cell's *incremental* peak RSS,
-not interpreter + numpy overhead. Each cell is compared with
+Every cell runs in its own subprocess and reports its own peak RSS,
+``VmHWM`` from ``/proc/self/status`` (Linux), which starts fresh at
+``exec``. (``ru_maxrss`` would not do: on Linux a child inherits its
+launcher's high-water mark across fork and exec, so a cell launched from
+a 200 MB pytest process would read at least 200 MB.) A null subprocess
+(same imports, no cell) is measured first and subtracted, so the
+reported number is the cell's *incremental* peak RSS, not interpreter +
+numpy overhead. Each cell is compared with
 :data:`POST_OBJECT_FIT`, the pinned memory curve of the post log that
 stored a ``Post`` object per post (the dense substrate until 1.17.0).
 The headline criterion — at ``n = 10^5`` each substrate must sit at
@@ -35,7 +39,6 @@ import hashlib
 import json
 import os
 import platform
-import resource
 import subprocess
 import sys
 import time
@@ -79,6 +82,15 @@ def post_object_fit_kb(n: int) -> float:
     """The pinned ``Post``-object curve at ``n`` players, in KB."""
     slope, intercept = POST_OBJECT_FIT
     return slope * n + intercept
+
+
+def vm_hwm_kb() -> int:
+    """This process's own peak RSS in KB (``VmHWM``; reset at ``exec``)."""
+    with open("/proc/self/status", encoding="ascii") as handle:
+        for line in handle:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1])
+    raise RuntimeError("VmHWM missing from /proc/self/status")
 
 
 # ----------------------------------------------------------------------
@@ -128,7 +140,7 @@ def _run_cell(n: int, substrate: str, seed: int) -> Dict[str, object]:
         "substrate": substrate,
         "resolved_substrate": engine.substrate,
         "seed": seed,
-        "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        "vm_hwm_kb": vm_hwm_kb(),
         "elapsed_seconds": elapsed,
         "rounds": metrics.rounds,
         "posts": len(engine.board),
@@ -150,9 +162,7 @@ def _run_null() -> Dict[str, object]:
     import repro.sim.engine  # noqa: F401
     import repro.world.generators  # noqa: F401
 
-    return {
-        "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    }
+    return {"vm_hwm_kb": vm_hwm_kb()}
 
 
 def _child_main(argv: List[str]) -> None:
@@ -186,9 +196,7 @@ def _measure_cell(
     n: int, substrate: str, baseline_kb: int
 ) -> Dict[str, object]:
     cell = _spawn(["--cell", str(n), substrate, str(SEED)])
-    cell["incremental_rss_kb"] = max(
-        0, int(cell["ru_maxrss_kb"]) - baseline_kb
-    )
+    cell["incremental_rss_kb"] = max(0, int(cell["vm_hwm_kb"]) - baseline_kb)
     cell["rounds_per_second"] = cell["rounds"] / max(
         cell["elapsed_seconds"], 1e-9
     )
@@ -197,7 +205,7 @@ def _measure_cell(
 
 def main() -> Dict[str, object]:
     baseline = _spawn(["--null"])
-    baseline_kb = int(baseline["ru_maxrss_kb"])
+    baseline_kb = int(baseline["vm_hwm_kb"])
     print(f"null baseline: {baseline_kb} KB peak RSS")
 
     dense_cells = []
@@ -251,7 +259,7 @@ def main() -> Dict[str, object]:
     ceiling_kb = post_object_fit_kb(HEADLINE_N) / RSS_RATIO_FLOOR
 
     data = {
-        "schema": "repro-bench-scale/2",
+        "schema": "repro-bench-scale/3",
         "generated_unix": time.time(),
         "host": {
             "cpu_count": os.cpu_count(),
@@ -312,6 +320,38 @@ def bench_scale(results_dir):
     assert data["bit_identical_overlap_ns"] == sorted(set(DENSE_NS) & set(SPARSE_NS))
     for cell in data["dense"] + data["sparse"]:
         assert cell["all_honest_satisfied"]
+
+
+#: resident ballast of the launcher in the test below
+BALLAST_MB = 200
+
+
+def test_null_child_reports_its_own_peak():
+    """A ``--null`` child launched from a process holding 200 MB reads
+    what one launched from a small process reads: the bench measures
+    each child, never its launcher."""
+    helper = "\n".join([
+        "import json, sys",
+        f"sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})",
+        f"ballast = b'x' * ({BALLAST_MB} << 20)",
+        "import bench_scale",
+        "child = bench_scale._spawn(['--null'])",
+        "print(json.dumps({'helper_kb': bench_scale.vm_hwm_kb(), **child}))",
+    ])
+    out = subprocess.run(
+        [sys.executable, "-c", helper],
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    from_big = json.loads(out.strip().splitlines()[-1])
+    from_small = _spawn(["--null"])
+    assert from_big["helper_kb"] >= BALLAST_MB * 1024, from_big
+    # a null child is ~40 MB; any inherited share of the ballast shows
+    assert abs(from_big["vm_hwm_kb"] - from_small["vm_hwm_kb"]) < 16 * 1024, (
+        from_big,
+        from_small,
+    )
 
 
 if __name__ == "__main__":

@@ -5,9 +5,10 @@ the paper, stored as five growable columns (round, player, object,
 value, kind), and reads its votes through a
 :class:`~repro.billboard.votes.VoteLedger`. A :class:`Post` record
 exists only when a reader asks for one. The board serves every batched
-lane, the scalar engine's sparse substrate and ``repro serve
---substrate sparse``; :class:`~repro.billboard.board.Billboard` is this
-board plus a lazy hash chain.
+lane, and the scalar engine and ``repro serve`` at or above
+:data:`~repro.billboard.sparse.SPARSE_AUTO_THRESHOLD` players (or under
+``substrate="sparse"``); :class:`~repro.billboard.board.Billboard` is
+this board plus a lazy hash chain.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The ``substrate`` knob: which post log the scalar engine and
+"""The ``substrate`` argument: which post log the scalar engine and
 ``repro serve`` keep.
 
 Both substrates store posts as the same numpy columns (21 bytes a post)
@@ -9,8 +9,12 @@ and so a pending copy of the rows written since its digest was last
 read; ``sparse`` keeps the plain
 :class:`~repro.billboard.columnar.ColumnarBoard`. Lanes always run the
 columnar board. ``auto`` picks sparse at or above
-:data:`SPARSE_AUTO_THRESHOLD` players. Selection is **bit-inert**: for
-the same seed both substrates produce identical
+:data:`SPARSE_AUTO_THRESHOLD` players; every CLI run and ``repro
+serve`` use it, and only direct callers of
+:func:`~repro.sim.runner.run_trials`,
+:func:`~repro.sim.runner.run_trial_grid` and
+:class:`~repro.sim.engine.SynchronousEngine` name another. Selection is
+**bit-inert**: for the same seed both substrates produce identical
 :class:`~repro.sim.metrics.RunMetrics`.
 """
 

@@ -36,15 +36,9 @@ from repro.experiments import (
     generate_report,
     run_experiment,
 )
-from repro.experiments.config import (
-    resolve_batch_lanes,
-    resolve_n_jobs,
-    resolve_substrate,
-    set_default_batch_lanes,
-    set_default_n_jobs,
-    set_default_substrate,
-)
+from repro.experiments.config import default_n_jobs, set_default_n_jobs
 from repro.experiments.tables import Table
+from repro.serve.config import ServeConfig
 from repro.sim.engine import EngineConfig
 from repro.sim.runner import TrialResults, run_trials
 from repro.world.generators import planted_instance
@@ -66,34 +60,6 @@ def _add_jobs_flag(command: argparse.ArgumentParser) -> None:
         help=(
             "Monte-Carlo worker processes (-1 = all cores; default: "
             "REPRO_BENCH_JOBS or serial). Never changes results."
-        ),
-    )
-
-
-def _add_lanes_flag(command: argparse.ArgumentParser) -> None:
-    command.add_argument(
-        "--batch-lanes",
-        dest="batch_lanes",
-        type=int,
-        default=None,
-        help=(
-            "trials advanced in lockstep per engine batch (default: "
-            "REPRO_BATCH_LANES or scalar). Never changes results."
-        ),
-    )
-
-
-def _add_substrate_flag(command: argparse.ArgumentParser) -> None:
-    from repro.billboard.sparse import SUBSTRATE_CHOICES
-
-    command.add_argument(
-        "--substrate",
-        choices=list(SUBSTRATE_CHOICES),
-        default=None,
-        help=(
-            "billboard storage substrate (default: REPRO_SUBSTRATE or "
-            "auto: sparse at large n, dense otherwise). Never changes "
-            "results."
         ),
     )
 
@@ -129,8 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--seed", type=int, default=0)
     exp.add_argument("--out", help="also write the table to this file")
     _add_jobs_flag(exp)
-    _add_lanes_flag(exp)
-    _add_substrate_flag(exp)
     _add_obs_flag(exp)
 
     run = sub.add_parser("run", help="one Monte-Carlo cell")
@@ -181,8 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSONL checkpoint path (resume an interrupted sweep)",
     )
     _add_jobs_flag(run)
-    _add_lanes_flag(run)
-    _add_substrate_flag(run)
     _add_obs_flag(run)
 
     bounds = sub.add_parser(
@@ -218,8 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--seed", type=int, default=0)
     rep.add_argument("--out", help="write the report here (default stdout)")
     _add_jobs_flag(rep)
-    _add_lanes_flag(rep)
-    _add_substrate_flag(rep)
     _add_obs_flag(rep)
 
     g = sub.add_parser("gauntlet", help="every adversary vs one strategy")
@@ -232,8 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--trials", type=int, default=8)
     g.add_argument("--seed", type=int, default=0)
     _add_jobs_flag(g)
-    _add_lanes_flag(g)
-    _add_substrate_flag(g)
     _add_obs_flag(g)
 
     serve = sub.add_parser(
@@ -248,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--host",
-        default="127.0.0.1",
+        default=ServeConfig.host,
         help=(
             "listening address; keep it loopback unless the network is "
             "trusted (frames decode to builtins only, but the service "
@@ -258,32 +216,31 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--port",
         type=int,
-        default=None,
+        default=ServeConfig.port,
         help=(
-            "listening port (default: REPRO_SERVE_PORT or 0 — an "
-            "ephemeral port, printed on startup)"
+            "listening port (default: %(default)s — an ephemeral port, "
+            "printed on startup)"
         ),
     )
-    _add_substrate_flag(serve)
     serve.add_argument(
         "--max-inflight",
         dest="max_inflight",
         type=int,
-        default=None,
+        default=ServeConfig.max_inflight,
         help=(
             "shed requests beyond this many in processing at once "
-            "(default: REPRO_SERVE_MAX_INFLIGHT or 256). Never changes "
-            "what an admitted request computes."
+            "(default: %(default)s). Never changes what an admitted "
+            "request computes."
         ),
     )
     serve.add_argument(
         "--rate",
         type=float,
-        default=None,
+        default=ServeConfig.rate,
         help=(
             "per-client admission rate in requests/second; 0 disables "
-            "rate limiting (default: REPRO_SERVE_RATE or 0). Never "
-            "changes what an admitted request computes."
+            "rate limiting (default: %(default)s). Never changes what "
+            "an admitted request computes."
         ),
     )
 
@@ -334,10 +291,6 @@ def cmd_list() -> int:
 def cmd_experiment(args: argparse.Namespace) -> int:
     if args.jobs is not None:
         set_default_n_jobs(args.jobs)
-    if args.batch_lanes is not None:
-        set_default_batch_lanes(args.batch_lanes)
-    if args.substrate is not None:
-        set_default_substrate(args.substrate)
     result = run_experiment(args.experiment_id, args.scale, args.seed)
     rendered = result.render()
     print(rendered)
@@ -383,12 +336,10 @@ def _measure_cell(args: argparse.Namespace, adversary_name: str) -> TrialResults
         n_trials=args.trials,
         seed=(args.seed, len(adversary_name)),
         config=EngineConfig(max_rounds=1_000_000),
-        n_jobs=resolve_n_jobs(getattr(args, "jobs", None)),
-        batch_lanes=resolve_batch_lanes(getattr(args, "batch_lanes", None)),
+        n_jobs=default_n_jobs() if args.jobs is None else args.jobs,
         fault_plan=_fault_plan_from(args),
         timeout=getattr(args, "timeout", None),
         checkpoint_path=getattr(args, "checkpoint", None),
-        substrate=resolve_substrate(getattr(args, "substrate", None)),
     )
 
 
@@ -456,10 +407,6 @@ def cmd_show(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     if args.jobs is not None:
         set_default_n_jobs(args.jobs)
-    if args.batch_lanes is not None:
-        set_default_batch_lanes(args.batch_lanes)
-    if args.substrate is not None:
-        set_default_substrate(args.substrate)
     report = generate_report(
         experiment_ids=args.ids, scale=args.scale, seed=args.seed
     )
@@ -502,22 +449,15 @@ def cmd_gauntlet(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve import (
-        BillboardService,
-        ServeConfig,
-        resolve_serve_max_inflight,
-        resolve_serve_port,
-        resolve_serve_rate,
-    )
+    from repro.serve import BillboardService
 
     config = ServeConfig(
         n_players=args.n,
         n_objects=args.m,
         host=args.host,
-        port=resolve_serve_port(args.port),
-        substrate=args.substrate,
-        max_inflight=resolve_serve_max_inflight(args.max_inflight),
-        rate=resolve_serve_rate(args.rate),
+        port=args.port,
+        max_inflight=args.max_inflight,
+        rate=args.rate,
     )
     try:
         BillboardService(config).run()

@@ -7,11 +7,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.adversaries.base import Adversary
-from repro.experiments.config import (
-    resolve_batch_lanes,
-    resolve_n_jobs,
-    resolve_substrate,
-)
+from repro.experiments.config import default_n_jobs
 from repro.faults.plan import FaultPlan
 from repro.sim.engine import EngineConfig
 from repro.sim.runner import TrialResults, run_trials
@@ -35,23 +31,16 @@ def measure(
     seed: int = 0,
     max_rounds: int = 500_000,
     config: Optional[EngineConfig] = None,
-    n_jobs: Optional[int] = None,
-    batch_lanes: Optional[int] = None,
     fault_plan: Optional[FaultPlan] = None,
-    timeout: Optional[float] = None,
-    checkpoint_path: Optional[str] = None,
-    substrate: Optional[str] = None,
 ) -> TrialResults:
     """``run_trials`` with the experiment-wide defaults.
 
-    ``n_jobs=None``, ``batch_lanes=None``, and ``substrate=None`` defer
-    to the process-wide defaults (the CLI ``--jobs``/``--batch-lanes``/
-    ``--substrate`` flags or the ``REPRO_BENCH_JOBS``/
-    ``REPRO_BATCH_LANES``/``REPRO_SUBSTRATE`` environment variables);
-    results are identical for every worker count, lane width, and
-    substrate.
-    ``fault_plan``, ``timeout``, and ``checkpoint_path`` pass straight
-    through to :func:`~repro.sim.runner.run_trials`.
+    Trials run on :func:`~repro.experiments.config.default_n_jobs`
+    workers (the CLI ``--jobs`` flag or ``REPRO_BENCH_JOBS``), on the
+    scalar engine and the board ``run_trials`` picks for the instance's
+    size; results are identical for every worker count.
+    ``fault_plan`` passes straight through to
+    :func:`~repro.sim.runner.run_trials`.
     """
     if config is None:
         config = EngineConfig(max_rounds=max_rounds)
@@ -62,10 +51,6 @@ def measure(
         n_trials=trials,
         seed=seed,
         config=config,
-        n_jobs=resolve_n_jobs(n_jobs),
-        batch_lanes=resolve_batch_lanes(batch_lanes),
+        n_jobs=default_n_jobs(),
         fault_plan=fault_plan,
-        timeout=timeout,
-        checkpoint_path=checkpoint_path,
-        substrate=resolve_substrate(substrate),
     )

@@ -167,7 +167,7 @@ class RunManifest:
         The serving-layer configuration when the artifact came from a
         :class:`~repro.serve.service.BillboardService` (the
         :meth:`~repro.serve.config.ServeConfig.manifest_payload` dict:
-        world dimensions, substrate knob, admission caps), or ``None``
+        world dimensions and admission caps), or ``None``
         for batch artifacts. Admission caps shape *which* requests were
         admitted, never what an admitted request computes, so like
         ``executor`` this is **reporting, not identity** — ``repro obs

@@ -7,21 +7,7 @@ driven by concurrent network traffic instead of a round loop. See
 """
 
 from repro.serve.client import ServeClient
-from repro.serve.config import (
-    SERVE_MAX_INFLIGHT_ENV_VAR,
-    SERVE_PORT_ENV_VAR,
-    SERVE_RATE_ENV_VAR,
-    ServeConfig,
-    default_serve_max_inflight,
-    default_serve_port,
-    default_serve_rate,
-    resolve_serve_max_inflight,
-    resolve_serve_port,
-    resolve_serve_rate,
-    set_default_serve_max_inflight,
-    set_default_serve_port,
-    set_default_serve_rate,
-)
+from repro.serve.config import ServeConfig
 from repro.serve.recommender import (
     OnlineDistillRecommender,
     batch_recommender,
@@ -29,22 +15,10 @@ from repro.serve.recommender import (
 from repro.serve.service import BillboardService, ServiceThread
 
 __all__ = [
-    "SERVE_MAX_INFLIGHT_ENV_VAR",
-    "SERVE_PORT_ENV_VAR",
-    "SERVE_RATE_ENV_VAR",
     "BillboardService",
     "OnlineDistillRecommender",
     "ServeClient",
     "ServeConfig",
     "ServiceThread",
     "batch_recommender",
-    "default_serve_max_inflight",
-    "default_serve_port",
-    "default_serve_rate",
-    "resolve_serve_max_inflight",
-    "resolve_serve_port",
-    "resolve_serve_rate",
-    "set_default_serve_max_inflight",
-    "set_default_serve_port",
-    "set_default_serve_rate",
 ]

@@ -4,7 +4,8 @@ The simulator turned inside-out: instead of an engine driving rounds
 over a private board, a long-lived service accepts concurrent
 post/vote/query traffic over TCP against one live billboard
 (:class:`~repro.billboard.board.Billboard` or
-:class:`~repro.billboard.columnar.ColumnarBoard`, per the substrate knob)
+:class:`~repro.billboard.columnar.ColumnarBoard` at or above
+:data:`~repro.billboard.sparse.SPARSE_AUTO_THRESHOLD` players)
 and serves reads from epoch-pinned
 :class:`~repro.billboard.views.SnapshotView`\\ s.
 
@@ -116,7 +117,7 @@ class BillboardService:
         self, config: ServeConfig, obs: Optional[Registry] = None
     ) -> None:
         self.config = config
-        self.substrate = choose_substrate(config.substrate, config.n_players)
+        self.substrate = choose_substrate(None, config.n_players)
         self.board: ColumnarBoard = (
             ColumnarBoard(config.n_players, config.n_objects)
             if self.substrate == "sparse"

@@ -33,6 +33,27 @@ class TestCommon:
         )
         assert res.n_trials == 3
 
+    def test_measure_ignores_retired_engine_env_vars(self, monkeypatch):
+        """The lane-count and post-log environment variables are gone:
+        ``measure`` runs the scalar engine on the board picked by size
+        (the hash-chained one at this n) whatever they say."""
+        from repro.obs.registry import observe
+
+        monkeypatch.setenv("REPRO_BATCH_LANES", "8")
+        monkeypatch.setenv("REPRO_SUBSTRATE", "sparse")
+        with observe() as registry:
+            res = measure(
+                planted_factory(16, 16, 0.25, 1.0),
+                TrivialStrategy,
+                trials=8,
+                seed=1,
+            )
+        counters = registry.counters()
+        assert res.n_trials == 8
+        assert "trial.batched" not in counters
+        assert counters.get("substrate.dense") == 8
+        assert "substrate.sparse" not in counters
+
 
 class TestE04Helper:
     def test_exact_dishonest_count(self, rng):

@@ -1,21 +1,16 @@
 """BillboardService integration: the full socket round trip."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.billboard import SPARSE_AUTO_THRESHOLD, Billboard, PostKind
+from repro.billboard.views import SnapshotView
 from repro.errors import ConfigurationError, LoadShedError
 from repro.obs.manifest import SCHEMA_VERSION
-from repro.serve import (
-    ServeClient,
-    ServeConfig,
-    batch_recommender,
-    default_serve_max_inflight,
-    default_serve_port,
-    default_serve_rate,
-    resolve_serve_rate,
-    set_default_serve_port,
-)
+from repro.serve import ServeClient, ServeConfig, batch_recommender
 from repro.serve.service import (
     MAX_REQUEST_BYTES,
     BillboardService,
@@ -230,50 +225,49 @@ class TestBackpressure:
 
 class TestSubstrateKnob:
     def test_sparse_substrate_serves_identically(self):
-        config = ServeConfig(n_players=8, n_objects=4, substrate="sparse")
+        """At SPARSE_AUTO_THRESHOLD players serve keeps the chainless
+        columnar board, and serves what a replay of the same writes on
+        the hash-chained board computes."""
+        n = SPARSE_AUTO_THRESHOLD
+        below = BillboardService(ServeConfig(n_players=n - 1, n_objects=4))
+        assert below.substrate == "dense"
+        assert isinstance(below.board, Billboard)
+        config = ServeConfig(n_players=n, n_objects=4)
+        dense = Billboard(n, 4)
         with ServiceThread(config) as runner:
             assert runner.service.substrate == "sparse"
+            assert not isinstance(runner.service.board, Billboard)
             with ServeClient(*runner.address) as client:
-                client.vote(3, 2)
-                client.tick()
-                assert client.counts()["counts"] == [0, 0, 1, 0]
+                for epoch in range(6):
+                    entries = [
+                        (n - 1 - 7 * (epoch * 5 + k), (epoch + k) % 4)
+                        for k in range(5)
+                    ]
+                    for player, object_id in entries:
+                        client.vote(player, object_id)
+                    client.tick()
+                    dense.append_many(
+                        epoch,
+                        [(p, o, 1.0, PostKind.VOTE) for p, o in entries],
+                    )
                 assert client.board()["substrate"] == "sparse"
-                serving = client.metrics()["manifest"]["serving"]
-                assert serving["substrate"] == "sparse"
+                assert client.metrics()["substrate"] == "sparse"
+                served_counts = client.counts()["counts"]
+                served_scores = client.scores()["scores"]
+        online = runner.service.recommender
+        reference = batch_recommender(dense, online.ctx, online.epoch)
+        assert online.state_digest() == reference.state_digest()
+        assert served_scores == [float(s) for s in reference.scores()]
+        assert served_counts == [
+            int(c)
+            for c in SnapshotView(dense, epoch=6).cumulative_vote_counts()
+        ]
 
 
 class TestServeKnobs:
-    def test_port_resolution_order(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVE_PORT", raising=False)
-        assert default_serve_port() == 0
-        monkeypatch.setenv("REPRO_SERVE_PORT", "4242")
-        assert default_serve_port() == 4242
-        set_default_serve_port(9999)
-        try:
-            assert default_serve_port() == 9999
-        finally:
-            set_default_serve_port(None)
-        monkeypatch.setenv("REPRO_SERVE_PORT", "not-a-port")
-        with pytest.raises(ConfigurationError, match="REPRO_SERVE_PORT"):
-            default_serve_port()
+    def test_config_validation(self, capsys):
+        from repro.cli import main
 
-    def test_max_inflight_rejects_nonpositive(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_MAX_INFLIGHT", "0")
-        with pytest.raises(
-            ConfigurationError, match="REPRO_SERVE_MAX_INFLIGHT"
-        ):
-            default_serve_max_inflight()
-
-    def test_rate_env_and_explicit_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_RATE", "2.5")
-        assert default_serve_rate() == 2.5
-        assert resolve_serve_rate(None) == 2.5
-        assert resolve_serve_rate(7.0) == 7.0
-        monkeypatch.setenv("REPRO_SERVE_RATE", "-1")
-        with pytest.raises(ConfigurationError, match="REPRO_SERVE_RATE"):
-            default_serve_rate()
-
-    def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             ServeConfig(n_players=0, n_objects=4)
         with pytest.raises(ConfigurationError):
@@ -282,6 +276,13 @@ class TestServeKnobs:
             ServeConfig(n_players=4, n_objects=4, rate=-0.5)
         with pytest.raises(ConfigurationError):
             ServeConfig(n_players=4, n_objects=4, queue_depth=0)
+        for port in (-5, 65536, 70000):
+            with pytest.raises(ConfigurationError, match="port"):
+                ServeConfig(n_players=4, n_objects=4, port=port)
+            # the CLI reports it as a usage error, before binding
+            assert main(["serve", "--port", str(port)]) == 2
+            assert "error: port must be in" in capsys.readouterr().err
+        assert ServeConfig(n_players=4, n_objects=4, port=65535).port == 65535
 
 
 class TestServeCli:
@@ -297,8 +298,6 @@ class TestServeCli:
                 "32",
                 "--port",
                 "0",
-                "--substrate",
-                "sparse",
                 "--max-inflight",
                 "128",
                 "--rate",
@@ -307,6 +306,16 @@ class TestServeCli:
         )
         assert args.command == "serve"
         assert args.n == 64 and args.m == 32
-        assert args.substrate == "sparse"
         assert args.max_inflight == 128
         assert args.rate == 100.0
+        # every flag that sets a ServeConfig field defaults to that
+        # field's default
+        args = vars(build_parser().parse_args(["serve"]))
+        defaults = {
+            field.name: field.default
+            for field in dataclasses.fields(ServeConfig)
+            if field.name in args
+        }
+        assert sorted(defaults) == ["host", "max_inflight", "port", "rate"]
+        for name, default in defaults.items():
+            assert args[name] == default, name
