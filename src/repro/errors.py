@@ -56,7 +56,9 @@ class TrialTimeoutError(SimulationError):
     Raised by the trial runner when ``timeout=`` is set. A timed-out
     trial is *deterministic* — re-running the same seed would hang the
     same way — so the runner reports it instead of retrying (retries are
-    reserved for crashed pool workers, which are environmental)."""
+    reserved for crashed pool workers, which are environmental). Also
+    raised by :class:`~repro.serve.client.ServeClient` when its socket
+    timeout expires."""
 
 
 class CheckpointError(ReproError):

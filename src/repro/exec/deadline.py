@@ -1,29 +1,20 @@
-"""Monotonic-deadline trial cancellation, off the main thread too.
+"""Monotonic-deadline trial cancellation on the main thread.
 
-The first-generation per-trial timeout was a ``SIGALRM`` interval timer,
-which only works on a Unix main thread. Deadlines are also wanted off
-the main thread — a :class:`~repro.serve.client.ServeClient` bounds its
-reply wait on whatever thread calls it — so the budget is enforced by a
-single daemon *watchdog thread* watching ``time.monotonic()`` deadlines
-and cancelling overdue blocks in whatever thread runs them:
+The budget is enforced by a single daemon *watchdog thread* watching
+``time.monotonic()`` deadlines: when a block runs past its deadline the
+watchdog sends ``SIGALRM`` to the main thread via
+:func:`signal.pthread_kill`, and the handler (installed by
+:func:`trial_deadline`, from the main thread, as CPython requires)
+raises :class:`~repro.errors.TrialTimeoutError` inside the block.
+Signals interrupt blocking syscalls, so even a sleeping trial dies on
+time. This covers the serial path, every forked pool worker (a forked
+child's only thread is its main thread), and the test suite's per-test
+cap.
 
-* **main thread** — the watchdog sends ``SIGALRM`` via
-  :func:`signal.pthread_kill`; the handler (installed by
-  :func:`trial_deadline`, from the main thread, as CPython requires)
-  raises :class:`~repro.errors.TrialTimeoutError`. Signals interrupt
-  blocking syscalls, so even a sleeping trial dies on time. This covers
-  the serial path, every forked pool worker, and the test suite's
-  per-test cap.
-* **any other thread** — the watchdog plants the exception with
-  ``PyThreadState_SetAsyncExc``, which fires at the next bytecode
-  boundary. A tight numpy loop is interrupted promptly; a thread parked
-  in a long blocking syscall is cancelled only when it returns (the
-  documented limitation of off-main-thread cancellation in CPython).
-
-Semantics are unchanged from the SIGALRM era: the same
-:class:`~repro.errors.TrialTimeoutError` with the same message, raised
-inside the protected block. On runtimes with neither mechanism the
-budget is silently unenforced, exactly like the old implementation.
+Off the main thread no signal handler can run, so a budget there is
+refused with :class:`~repro.errors.ConfigurationError` rather than left
+unenforced. Network waits bound themselves instead: a
+:class:`~repro.serve.client.ServeClient` puts its timeout on the socket.
 
 This module owns the execution layer's only ambient clock reads
 (``time.monotonic``) — which is why it lives in :mod:`repro.exec`,
@@ -33,14 +24,13 @@ protects. Deadlines bound *wall time*; they never feed a result.
 
 from __future__ import annotations
 
-import ctypes
 import signal
 import threading
 import time
 from contextlib import contextmanager
 from typing import Iterator, List, Optional
 
-from repro.errors import TrialTimeoutError
+from repro.errors import ConfigurationError, TrialTimeoutError
 
 
 def timeout_message(seconds: float) -> str:
@@ -51,23 +41,11 @@ def timeout_message(seconds: float) -> str:
 class _Handle:
     """One protected block's deadline, shared with the watchdog."""
 
-    __slots__ = (
-        "deadline",
-        "seconds",
-        "thread_ident",
-        "use_signal",
-        "fired",
-        "cancelled",
-        "delivered",
-    )
+    __slots__ = ("deadline", "thread_ident", "fired", "cancelled", "delivered")
 
-    def __init__(
-        self, seconds: float, thread_ident: int, use_signal: bool
-    ) -> None:
+    def __init__(self, seconds: float, thread_ident: int) -> None:
         self.deadline = time.monotonic() + seconds
-        self.seconds = seconds
         self.thread_ident = thread_ident
-        self.use_signal = use_signal
         #: watchdog committed to cancelling this block
         self.fired = False
         #: the block finished before (or while) the watchdog acted
@@ -107,27 +85,18 @@ class _Watchdog:
     def cancel(self, handle: _Handle) -> None:
         """Withdraw a handle; settle any in-flight cancellation.
 
-        If the watchdog already fired, the cancellation is *en route* to
-        this thread. For the signal path we wait for the (now inert —
-        ``cancelled`` is set) signal to be consumed before the caller
-        restores the previous handler, so a late ``SIGALRM`` can never
-        hit a handler that doesn't expect it. For the async-exc path we
-        clear the pending exception if it has not raised yet.
+        If the watchdog already fired, its ``SIGALRM`` is *en route*: wait
+        for the (now inert — ``cancelled`` is set) signal to be consumed
+        before the caller restores the previous handler, so a late
+        ``SIGALRM`` can never hit a handler that doesn't expect it.
         """
         with self._cond:
             handle.cancelled = True
             if handle in self._handles:
                 self._handles.remove(handle)
             fired = handle.fired
-        if not fired:
-            return
-        if handle.use_signal:
-            while not handle.delivered:
-                time.sleep(0.0005)
-        else:
-            ctypes.pythonapi.PyThreadState_SetAsyncExc(
-                ctypes.c_ulong(handle.thread_ident), None
-            )
+        while fired and not handle.delivered:
+            time.sleep(0.0005)
 
     # ------------------------------------------------------------------
     def _run(self) -> None:
@@ -145,23 +114,12 @@ class _Watchdog:
                     self._handles.remove(handle)
                     if not handle.cancelled:
                         handle.fired = True
-                        self._fire(handle)
-
-    def _fire(self, handle: _Handle) -> None:
-        if handle.use_signal:
-            try:
-                signal.pthread_kill(handle.thread_ident, signal.SIGALRM)
-            except (ProcessLookupError, OSError):  # thread already gone
-                pass
-            return
-        planted = ctypes.pythonapi.PyThreadState_SetAsyncExc(
-            ctypes.c_ulong(handle.thread_ident),
-            ctypes.py_object(TrialTimeoutError),
-        )
-        if planted > 1:  # pragma: no cover - CPython contract says 0 or 1
-            ctypes.pythonapi.PyThreadState_SetAsyncExc(
-                ctypes.c_ulong(handle.thread_ident), None
-            )
+                        try:
+                            signal.pthread_kill(
+                                handle.thread_ident, signal.SIGALRM
+                            )
+                        except (ProcessLookupError, OSError):  # thread gone
+                            pass
 
 
 _WATCHDOG = _Watchdog()
@@ -171,49 +129,34 @@ _WATCHDOG = _Watchdog()
 def trial_deadline(seconds: Optional[float]) -> Iterator[None]:
     """Raise :class:`TrialTimeoutError` if the block runs past ``seconds``.
 
-    ``None`` or a non-positive budget disables enforcement. Safe on any
-    thread; see the module docstring for the per-thread mechanism and
-    its limits.
+    ``None`` or a non-positive budget disables enforcement. A budget
+    needs ``SIGALRM`` on the main thread; anywhere else it raises
+    :class:`ConfigurationError` before the block runs.
     """
     if seconds is None or seconds <= 0:
         yield
         return
     thread = threading.current_thread()
-    ident = thread.ident
-    use_signal = (
-        thread is threading.main_thread()
-        and hasattr(signal, "SIGALRM")
-        and hasattr(signal, "pthread_kill")
-    )
-    if ident is None or (
-        not use_signal and not hasattr(ctypes, "pythonapi")
-    ):  # pragma: no cover - non-CPython: budget unenforced, as before
-        yield
-        return
+    if thread is not threading.main_thread() or not hasattr(signal, "SIGALRM"):
+        raise ConfigurationError(
+            f"trial_deadline({seconds}) needs SIGALRM on the main thread, "
+            f"not on thread {thread.name!r}; bound waits off the main "
+            "thread another way (e.g. a socket timeout)"
+        )
+    handle = _Handle(float(seconds), threading.get_ident())
+    previous = signal.getsignal(signal.SIGALRM)
 
-    handle = _Handle(float(seconds), ident, use_signal)
-    previous = None
-    if use_signal:
-        previous = signal.getsignal(signal.SIGALRM)
+    def _expired(signum: int, frame: object) -> None:
+        handle.delivered = True
+        if handle.fired and not handle.cancelled:
+            raise TrialTimeoutError(timeout_message(seconds))
+        if callable(previous):  # not ours: pass it along
+            previous(signum, frame)
 
-        def _expired(signum: int, frame: object) -> None:
-            handle.delivered = True
-            if handle.fired and not handle.cancelled:
-                raise TrialTimeoutError(timeout_message(seconds))
-            if callable(previous):  # not ours: pass it along
-                previous(signum, frame)
-
-        signal.signal(signal.SIGALRM, _expired)
-
+    signal.signal(signal.SIGALRM, _expired)
     _WATCHDOG.register(handle)
     try:
         yield
-    except TrialTimeoutError as exc:
-        if str(exc):
-            raise
-        # an async-exc cancellation arrives as a bare exception (only
-        # types cross PyThreadState_SetAsyncExc); attach the message
-        raise TrialTimeoutError(timeout_message(seconds)) from None
     finally:
         try:
             _WATCHDOG.cancel(handle)
@@ -221,5 +164,4 @@ def trial_deadline(seconds: Optional[float]) -> Iterator[None]:
             # the deadline and the block's completion raced; the block
             # finished, so the cancellation is moot
             pass
-        if use_signal:
-            signal.signal(signal.SIGALRM, previous)
+        signal.signal(signal.SIGALRM, previous)

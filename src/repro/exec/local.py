@@ -6,131 +6,144 @@ chunks as they land (so checkpoints survive a later chunk killing its
 worker), and on ``BrokenProcessPool`` rebuilds the pool and re-submits
 only the unfinished chunks — each chunk carries its pre-derived seed
 sequences, so a retried trial replays the exact stream of its first
-attempt. Retry budget and backoff come from the shared
-:class:`~repro.exec.retry.RetryPolicy`; once the budget is spent the
-executor warns, counts ``exec.degraded``, and finishes the unfinished
-trials with :class:`~repro.exec.serial.SerialExecutor`, the in-process
-loop it also runs when no pool is viable.
+attempt. After :data:`POOL_REBUILDS` rebuilds the executor warns,
+counts ``exec.degraded``, and finishes the unfinished trials with
+:class:`~repro.exec.serial.SerialExecutor`.
 
-Factories are closures and do not pickle, so the pool uses the ``fork``
-start method and parks the worker state in
-``repro.sim.runner._WORKER_STATE`` just before forking: children
-inherit it by memory snapshot and only seeds cross the pickle channel.
-When a pool is not viable — one job, one pending trial, or no ``fork``
-on this platform — the executor runs the chunks in-process, so
-``LocalPoolExecutor`` is safe as a default anywhere.
+The runner's chunk runner carries the trial factories, which are often
+closures and do not pickle, so the pool uses the ``fork`` start method
+and parks it in :data:`_WORKER` just before forking: children inherit
+it by memory snapshot and only seeds cross the pickle channel. The runner builds this executor only
+when a pool is viable (more than one job and one pending trial, and
+``fork`` on this platform).
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
+import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.exec.base import (
-    ChunkCallback,
-    Executor,
-    IndexedSeed,
-    ResultMap,
-    build_chunks,
-)
-from repro.exec.retry import RetryPolicy
-from repro.exec.serial import SerialExecutor
+from repro.exec.serial import IndexedSeed, SerialExecutor, new_report
+from repro.obs.registry import Registry
+
+#: pool rebuilds after ``BrokenProcessPool`` before the unfinished
+#: trials go to the in-process loop
+POOL_REBUILDS = 2
+
+#: seconds slept before the first rebuild, doubled before each further one
+BACKOFF_S = 0.5
+
+#: ``(chunk runner, observed)`` for the forked workers, set while a pool runs
+_WORKER: Optional[Tuple[Callable[..., Any], bool]] = None
 
 
-class LocalPoolExecutor(Executor):
+def _pool_chunk(
+    chunk: Sequence[IndexedSeed],
+) -> Tuple[Any, Optional[Dict[str, Any]]]:
+    """Worker entry: run one chunk, shipping metrics home as a snapshot.
+
+    A forked worker inherits the parent's registry by memory snapshot,
+    so increments made there would be invisible to the parent. Each
+    chunk therefore counts into a *fresh* registry (fresh per chunk, not
+    per worker — a worker that runs several chunks must not re-ship
+    earlier chunks' counts) whose plain-dict snapshot returns through the
+    pickle channel for the parent to merge.
+    """
+    if _WORKER is None:  # pragma: no cover - defends against misuse
+        raise RuntimeError("worker state missing; was the pool forked?")
+    run_chunk, observed = _WORKER
+    if not observed:
+        return run_chunk(chunk, None), None
+    local = Registry()
+    return run_chunk(chunk, local), local.snapshot()
+
+
+def _build_chunks(
+    pending: Sequence[IndexedSeed], workers: int, lanes: int
+) -> List[List[IndexedSeed]]:
+    """~4 chunks per worker, rounded up to whole lane groups so workers
+    run full batches. A rebuilt pool re-submits the same chunks, so a
+    retried chunk replays exactly the trials its first attempt held."""
+    size = max(1, math.ceil(len(pending) / (max(workers, 1) * 4)))
+    size = math.ceil(size / lanes) * lanes
+    return [
+        list(pending[start : start + size])
+        for start in range(0, len(pending), size)
+    ]
+
+
+class LocalPoolExecutor:
     """Forked process pool with deterministic broken-pool recovery."""
 
-    name = "local"
+    def __init__(self, jobs: int) -> None:
+        self.jobs = jobs
+        self.report = new_report("local")
 
-    def __init__(
-        self,
-        n_jobs: Optional[int] = None,
-        retry: Optional[RetryPolicy] = None,
-    ) -> None:
-        super().__init__()
-        self.n_jobs = n_jobs
-        self.retry = retry if retry is not None else RetryPolicy()
-
-    # ------------------------------------------------------------------
     def run(
         self,
         pending: Sequence[IndexedSeed],
-        state: Dict[str, Any],
-        *,
-        chunk_size: Optional[int] = None,
-        on_chunk_done: Optional[ChunkCallback] = None,
-    ) -> ResultMap:
-        import repro.sim.runner as runner
+        run_chunk: Callable[..., Any],
+        lanes: int = 1,
+        obs: Optional[Registry] = None,
+        on_chunk_done: Optional[Callable[..., None]] = None,
+    ) -> Dict[int, Any]:
+        """Run every pending unit on the pool; records keyed by index.
 
-        jobs = runner.resolve_n_jobs(self.n_jobs)
-        pool_viable = (
-            jobs > 1
-            and len(pending) > 1
-            and "fork" in multiprocessing.get_all_start_methods()
-        )
-        lanes = state.get("batch_lanes", 1) or 1
-        obs = state.get("obs")
-        results: ResultMap = {}
-
-        def harvest(outcome: Any) -> None:
-            pairs, snapshot = outcome
-            if snapshot is not None and obs is not None:
-                obs.merge(snapshot)
-            results.update(pairs)
-            if on_chunk_done is not None:
-                on_chunk_done(pairs)
-
-        in_process = SerialExecutor()
-        if not pool_viable:
-            # Degenerate pool: not an error — a 1-core host asking for
-            # the local backend should work.
-            return in_process.run(pending, state, on_chunk_done=on_chunk_done)
-
-        remaining = build_chunks(pending, jobs, chunk_size, lanes)
+        Takes :meth:`SerialExecutor.run`'s arguments; ``on_chunk_done``
+        sees chunks in completion order, including those completed after
+        a rebuild or by the in-process hand-off.
+        """
+        global _WORKER
+        results: Dict[int, Any] = {}
+        roster: List[str] = self.report["workers"]
+        remaining = _build_chunks(pending, self.jobs, lanes)
         context = multiprocessing.get_context("fork")
-        attempt = 0
-        previous = runner._WORKER_STATE
-        runner._WORKER_STATE = state
+        losses = 0
+        previous, _WORKER = _WORKER, (run_chunk, obs is not None)
         try:
             while remaining:
-                workers = min(jobs, len(remaining))
-                self.report.workers.extend(
-                    f"w{len(self.report.workers) + i}" for i in range(workers)
+                workers = min(self.jobs, len(remaining))
+                roster.extend(
+                    f"w{i}" for i in range(len(roster), len(roster) + workers)
                 )
                 try:
                     with ProcessPoolExecutor(
                         max_workers=workers, mp_context=context
                     ) as pool:
-                        futures = {
-                            pool.submit(runner._run_trial_chunk, chunk): chunk
-                            for chunk in remaining
-                        }
+                        futures = [
+                            pool.submit(_pool_chunk, chunk) for chunk in remaining
+                        ]
                         for future in as_completed(futures):
-                            harvest(future.result())
+                            pairs, snapshot = future.result()
+                            if snapshot is not None and obs is not None:
+                                obs.merge(snapshot)
+                            results.update(pairs)
+                            if on_chunk_done is not None:
+                                on_chunk_done(pairs)
                     remaining = []
                 except BrokenProcessPool:
                     remaining = [
                         chunk
                         for chunk in remaining
-                        if any(
-                            index not in results for index, _seed in chunk
-                        )
+                        if any(index not in results for index, _seed in chunk)
                     ]
-                    attempt += 1
-                    self.report.worker_losses += 1
+                    losses += 1
+                    self.report["worker_losses"] += 1
                     if obs is not None:
                         obs.counter("exec.worker_lost").add()
-                    if not self.retry.allows(attempt):
+                    if losses > POOL_REBUILDS:
                         break
-                    self.report.retries += 1
+                    self.report["retries"] += 1
                     if obs is not None:
                         obs.counter("exec.retries").add()
-                    self.retry.sleep(attempt)
+                    time.sleep(BACKOFF_S * 2 ** (losses - 1))
         finally:
-            runner._WORKER_STATE = previous
+            _WORKER = previous
         if not remaining:
             return results
 
@@ -138,7 +151,7 @@ class LocalPoolExecutor(Executor):
         # kept, so only the unfinished ones run again.
         leftover = [unit for unit in pending if unit[0] not in results]
         warnings.warn(
-            f"executor 'local' failed (process pool died {attempt} "
+            f"executor 'local' failed (process pool died {losses} "
             f"time(s)); degrading to serial execution for the remaining "
             f"{len(leftover)} trial(s)",
             RuntimeWarning,
@@ -146,9 +159,9 @@ class LocalPoolExecutor(Executor):
         )
         if obs is not None:
             obs.counter("exec.degraded").add()
-        self.report.backend = "serial"
-        self.report.degraded_from = ["local"]
+        self.report["backend"] = "serial"
+        self.report["degraded_from"] = ["local"]
         results.update(
-            in_process.run(leftover, state, on_chunk_done=on_chunk_done)
+            SerialExecutor().run(leftover, run_chunk, lanes, obs, on_chunk_done)
         )
         return results

@@ -9,42 +9,56 @@ error — which no backend is allowed to swallow.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
-from repro.exec.base import (
-    ChunkCallback,
-    Executor,
-    IndexedSeed,
-    ResultMap,
-)
+#: ``(trial index, pre-derived seed sequence)`` — the dispatch unit
+IndexedSeed = Tuple[int, Any]
 
 
-class SerialExecutor(Executor):
+def new_report(backend: str) -> Dict[str, Any]:
+    """A fresh manifest ``executor`` record (reporting only).
+
+    ``workers`` lists pool worker ids in spawn order, ``retries`` counts
+    pool rebuilds, ``worker_losses`` pools lost to crashed workers, and
+    ``degraded_from`` is ``["local"]`` once a pool has handed its
+    unfinished trials to the serial loop.
+    """
+    return {
+        "backend": backend,
+        "workers": [],
+        "retries": 0,
+        "worker_losses": 0,
+        "degraded_from": [],
+    }
+
+
+class SerialExecutor:
     """Run every trial in the calling process, in trial order.
 
-    ``chunk_size`` is ignored: serial execution steps by whole lane
-    groups (``state["batch_lanes"]``): one ``runner.chunks`` count and
-    one checkpoint append per group.
+    Steps by whole lane groups: one ``runner.chunks`` count and one
+    checkpoint append per group.
     """
 
-    name = "serial"
+    def __init__(self) -> None:
+        self.report = new_report("serial")
 
     def run(
         self,
         pending: Sequence[IndexedSeed],
-        state: Dict[str, Any],
-        *,
-        chunk_size: Optional[int] = None,
-        on_chunk_done: Optional[ChunkCallback] = None,
-    ) -> ResultMap:
-        import repro.sim.runner as runner
+        run_chunk: Callable[..., Any],
+        lanes: int = 1,
+        obs: Any = None,
+        on_chunk_done: Optional[Callable[..., None]] = None,
+    ) -> Dict[int, Any]:
+        """Run every pending unit; return records keyed by trial index.
 
-        step = state.get("batch_lanes", 1) or 1
-        results: ResultMap = {}
-        for start in range(0, len(pending), step):
-            pairs = runner._run_chunk(
-                list(pending[start : start + step]), state
-            )
+        ``run_chunk(units, obs)`` is the runner's chunk runner;
+        ``on_chunk_done`` (the checkpoint hook) sees each group's
+        ``(index, record)`` pairs as it completes.
+        """
+        results: Dict[int, Any] = {}
+        for start in range(0, len(pending), lanes):
+            pairs = run_chunk(pending[start : start + lanes], obs)
             results.update(pairs)
             if on_chunk_done is not None:
                 on_chunk_done(pairs)

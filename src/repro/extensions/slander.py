@@ -27,7 +27,7 @@ the robust choice.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Set
 
 import numpy as np
 
@@ -65,6 +65,9 @@ class SlanderingDistill(DistillStrategy):
 
     Run with ``EngineConfig(record_reports=True)`` so honest negative
     reports actually reach the board.
+
+    The board is append-only and horizons only grow, so the discredited
+    set is carried forward between rounds rather than recounted.
     """
 
     name = "distill-slander"
@@ -84,6 +87,34 @@ class SlanderingDistill(DistillStrategy):
     def reset(self, ctx: StrategyContext, rng: np.random.Generator) -> None:
         super().reset(ctx, rng)
         self._last_discredited: np.ndarray = np.array([], dtype=np.int64)
+        #: REPORT rows read so far, their distinct negative
+        #: ``object·n + player`` keys, and negative reporters per object
+        self._reports_read = 0
+        self._negative_keys: Set[int] = set()
+        self._reporters = np.zeros(ctx.m, dtype=np.int64)
+
+    def _discredited(self, view: BillboardView) -> np.ndarray:
+        """:func:`discredited_objects` at ``view``'s horizon, reading only
+        the REPORT rows that arrived since the previous call."""
+        players, objects, values = view.post_columns(PostKind.REPORT)
+        start, self._reports_read = self._reports_read, players.size
+        negative = values[start:] < self.ctx.good_threshold
+        keys = (
+            objects[start:][negative].astype(np.int64) * view.n_players
+            + players[start:][negative]
+        )
+        fresh = [
+            key
+            for key in np.unique(keys).tolist()
+            if key not in self._negative_keys
+        ]
+        if not fresh:
+            return self._last_discredited
+        self._negative_keys.update(fresh)
+        np.add.at(self._reporters, np.array(fresh) // view.n_players, 1)
+        return np.flatnonzero(
+            self._reporters >= self.slander_threshold
+        ).astype(np.int64)
 
     def choose_probes(
         self,
@@ -92,9 +123,7 @@ class SlanderingDistill(DistillStrategy):
         view: BillboardView,
     ) -> np.ndarray:
         self.tracker.advance(round_no, view)
-        self._last_discredited = discredited_objects(
-            view, self.slander_threshold, self.ctx.good_threshold
-        )
+        self._last_discredited = self._discredited(view)
         if self.tracker.is_advice_round(round_no):
             picks = self.alternator.advise(
                 active_players.size, view, self.rng

@@ -28,7 +28,6 @@ import hashlib
 import json
 import os
 import subprocess
-import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -148,9 +147,9 @@ class RunManifest:
         string), or ``None`` when the run batched as asked — including
         every run that never asked for batching.
     executor:
-        What the execution backend did: backend name, worker roster,
-        retry/loss tallies, and any degradation step
-        (the :class:`~repro.exec.base.ExecutorReport` dict), or
+        What the execution backend did: the backend's ``report`` dict
+        (:func:`repro.exec.serial.new_report`: ``backend``, ``workers``,
+        ``retries``, ``worker_losses``, ``degraded_from``), or
         ``None`` for artifacts that ran no trials. **Reporting, not
         identity**: two runs of the same seed on different backends
         produce identical results, so ``repro obs diff`` reports this
@@ -255,8 +254,8 @@ def collect_manifest(
     ``batch_fallback_reason`` is the runner's audit of a degraded
     ``batch_lanes`` request (``None``: no degradation happened).
     ``executor`` is the execution backend's report dict
-    (:meth:`repro.exec.base.ExecutorReport.to_dict`; ``None``: no
-    trials were dispatched). ``substrate`` is the billboard storage
+    (:func:`repro.exec.serial.new_report`; ``None``: no trials were
+    dispatched). ``substrate`` is the billboard storage
     knob the caller requested (``None``: knob left at its default).
     ``serving`` is the serving-layer configuration record
     (:meth:`~repro.serve.config.ServeConfig.manifest_payload`;

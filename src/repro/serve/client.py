@@ -4,8 +4,7 @@ Speaks the service's frame protocol of builtins-only pickles
 (:func:`~repro.exec.protocol.send_frame` /
 :func:`~repro.exec.protocol.recv_frame`, whose decoder refuses every
 global in either direction) over one persistent TCP connection, and
-guards every request with the monotonic deadline watchdog
-(:func:`~repro.exec.deadline.trial_deadline`) so a wedged service
+puts its timeout on that socket, so on any thread a wedged service
 surfaces as :class:`~repro.errors.TrialTimeoutError` instead of a hung
 caller.
 
@@ -21,8 +20,7 @@ from __future__ import annotations
 import socket
 from typing import Any, Dict, List, Optional
 
-from repro.errors import ConfigurationError, LoadShedError
-from repro.exec.deadline import trial_deadline
+from repro.errors import ConfigurationError, LoadShedError, TrialTimeoutError
 from repro.exec.protocol import recv_frame, send_frame
 
 
@@ -35,23 +33,36 @@ class ServeClient:
         The service's bound address (printed by ``repro serve`` on
         startup).
     timeout:
-        Per-request wall-clock budget in seconds, enforced by the
-        deadline watchdog (``None`` disables it).
+        Socket timeout in seconds, bounding the connect and each send
+        and receive (``None`` disables it). On expiry the client raises
+        :class:`~repro.errors.TrialTimeoutError` and closes the
+        connection: a half-read reply leaves the stream unusable.
     """
 
     def __init__(
         self, host: str, port: int, timeout: Optional[float] = 30.0
     ) -> None:
         self.timeout = timeout
-        self._sock = socket.create_connection((host, port))
+        try:
+            self._sock = socket.create_connection((host, port), timeout=timeout)
+        except socket.timeout:
+            raise TrialTimeoutError(
+                f"connecting to {host}:{port} took over {timeout}s"
+            ) from None
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
     # ------------------------------------------------------------------
     def request(self, kind: str, body: Any = None) -> Any:
         """One round trip; returns the ``ok`` body or raises."""
-        with trial_deadline(self.timeout):
+        try:
             send_frame(self._sock, kind, body)
             reply_kind, reply_body = recv_frame(self._sock)
+        except socket.timeout:
+            self._sock.close()
+            raise TrialTimeoutError(
+                f"{kind!r} request got no reply within {self.timeout}s; "
+                "connection closed"
+            ) from None
         if reply_kind == "ok":
             return reply_body
         if reply_kind == "shed":

@@ -17,10 +17,10 @@ dispatch, in trial order, and results are re-assembled in trial order, so
 the aggregated arrays are bit-identical to the serial path for the same
 seed regardless of ``n_jobs`` or chunking.
 
-Execution is delegated to :mod:`repro.exec` (``executor=``): the
-serial reference backend or the local fork pool, both dispatching the
-same pre-derived seeds, so results are bit-identical regardless of where
-(or how many times, after crashes) a trial ran.
+Execution is delegated to :mod:`repro.exec`: ``n_jobs`` picks the
+serial reference loop or the local fork pool, both dispatching the same
+pre-derived seeds, so results are bit-identical regardless of where (or
+how many times, after crashes) a trial ran.
 
 The runner is additionally hardened for long sweeps (see
 ``docs/robustness.md``):
@@ -28,13 +28,13 @@ The runner is additionally hardened for long sweeps (see
 * ``timeout=`` — a per-trial wall-clock cap; a hung engine raises
   :class:`~repro.errors.TrialTimeoutError` instead of stalling the
   sweep. Enforced by the monotonic-deadline watchdog in
-  :mod:`repro.exec.deadline`, on any thread and both backends.
-* a broken pool is rebuilt on the shared
-  :class:`~repro.exec.retry.RetryPolicy` backoff; a retry re-dispatches
-  the *same* pre-derived seed sequences, so retried trials are
-  bit-identical to an undisturbed run. When the retry budget runs out
-  the pool finishes the remaining trials in-process rather than giving
-  up.
+  :mod:`repro.exec.deadline`, on the main thread and in every pool
+  worker.
+* a broken pool is rebuilt after a doubling backoff (see
+  :mod:`repro.exec.local`); a rebuild re-dispatches the *same*
+  pre-derived seed sequences, so retried trials are bit-identical to an
+  undisturbed run. When the rebuilds run out the pool finishes the
+  remaining trials in-process rather than giving up.
 * ``checkpoint_path=`` — completed trials are appended to a JSONL
   checkpoint as they finish; an interrupted sweep resumes from the last
   completed chunk and produces ``per_trial`` arrays bit-identical to an
@@ -54,6 +54,7 @@ individually too small to fill ``batch_lanes`` still runs full lanes.
 
 from __future__ import annotations
 
+import functools
 import json
 import multiprocessing
 import os
@@ -76,7 +77,7 @@ import numpy as np
 
 from repro.billboard.sparse import normalize_substrate
 from repro.errors import CheckpointError, ConfigurationError, TrialTimeoutError
-from repro.exec import Executor, LocalPoolExecutor, RetryPolicy, SerialExecutor
+from repro.exec import LocalPoolExecutor, SerialExecutor
 from repro.exec.deadline import trial_deadline as _trial_deadline
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -172,12 +173,6 @@ class TrialResults:
 # ----------------------------------------------------------------------
 # Per-trial execution
 # ----------------------------------------------------------------------
-# The per-trial wall-clock budget is enforced by the monotonic-deadline
-# watchdog (see :mod:`repro.exec.deadline`): same TrialTimeoutError,
-# same message, but it works off the main thread too, where the old
-# SIGALRM interval timer could not.
-
-
 def _execute_trial(
     trial_factory: RngFactory,
     make_instance: InstanceFactory,
@@ -237,40 +232,6 @@ def _execute_trial(
         )
 
 
-# ----------------------------------------------------------------------
-# Process-pool backend
-# ----------------------------------------------------------------------
-# The trial factories are plain callables (often closures), which do not
-# survive pickling. The pool therefore uses the ``fork`` start method:
-# the worker state is parked in this module-level slot immediately before
-# the pool forks, and children inherit it by memory snapshot. Only the
-# per-trial seed sequences travel through the pickle channel.
-_WORKER_STATE: Optional[Dict[str, Any]] = None
-
-
-def _run_trial_chunk(
-    chunk: Sequence[_IndexedSeed],
-) -> Tuple[List[Tuple[int, _TrialRecord]], Optional[Dict[str, Any]]]:
-    """Worker entry: run one chunk, shipping metrics home as a snapshot.
-
-    A forked worker inherits the parent's :class:`Registry` by memory
-    snapshot, so increments made here would be invisible to the parent.
-    Each chunk therefore accumulates into a *fresh* registry (fresh per
-    chunk, not per worker — a worker that handles several chunks must not
-    re-ship earlier chunks' counts) whose plain-dict snapshot returns
-    through the pickle channel for the parent to merge.
-    """
-    state = _WORKER_STATE
-    if state is None:  # pragma: no cover - defends against misuse
-        raise RuntimeError("worker state missing; was the pool forked?")
-    if state.get("obs") is None:
-        return _run_chunk(chunk, state), None
-    local_state = dict(state)
-    local = local_state["obs"] = Registry()
-    pairs = _run_chunk(chunk, local_state)
-    return pairs, local.snapshot()
-
-
 #: one-time-per-process flags for the degradation warnings below
 _DEGRADE_WARNED = False
 _BATCH_FALLBACK_WARNED = False
@@ -310,46 +271,19 @@ def resolve_n_jobs(n_jobs: Optional[int]) -> int:
     return n_jobs
 
 
-def _choose_executor(
-    executor: Union[str, Executor, None],
-    jobs: int,
-    retry: RetryPolicy,
-    parallel_viable: bool,
-) -> Executor:
-    """Resolve the ``executor=`` argument into one backend.
-
-    ``None`` picks the local fork pool when one is viable (``n_jobs >
-    1``, more than one pending trial, ``fork`` available), otherwise
-    serial. ``"serial"`` and ``"local"`` pick a backend by name; an
-    :class:`~repro.exec.base.Executor` instance is used as given.
-    """
-    if isinstance(executor, Executor):
-        return executor
-    if executor is None:
-        executor = "local" if parallel_viable else "serial"
-    name = executor.strip().lower() if isinstance(executor, str) else None
-    if name == "serial":
-        return SerialExecutor()
-    if name == "local":
-        return LocalPoolExecutor(n_jobs=jobs, retry=retry)
-    raise ConfigurationError(
-        f"unknown executor {executor!r}; pass None, 'serial', 'local', "
-        "or an Executor instance"
-    )
-
-
 def _run_chunk(
-    chunk: Sequence[_IndexedSeed], state: Dict[str, Any]
+    state: Dict[str, Any],
+    lanes: int,
+    chunk: Sequence[_IndexedSeed],
+    obs: Optional[Registry],
 ) -> List[Tuple[int, _TrialRecord]]:
     """Execute one chunk of trials, batching into engine lanes if asked.
 
-    ``state`` is the execution-knob dict built by :func:`run_trials`; the
-    ``batch_lanes`` entry (absent or 1 → scalar) is a chunk-runner knob,
-    not an :func:`_execute_trial` argument, so it is split off here.
+    ``state`` holds :func:`_execute_trial`'s keyword arguments as built
+    by :func:`run_trials`; ``lanes`` of 1 runs the scalar engine. An
+    executor calls this with ``state`` and ``lanes`` bound, passing the
+    registry the chunk counts into (a pool worker's is its own).
     """
-    state = dict(state)
-    lanes = state.pop("batch_lanes", 1) or 1
-    obs: Optional[Registry] = state.get("obs")
     if obs is not None:
         obs.counter("runner.chunks").add()
     if lanes > 1:
@@ -380,7 +314,7 @@ def _run_chunk(
     out = []
     for index, seed_sequence in chunk:
         try:
-            record = _execute_trial(RngFactory(seed_sequence), **state)
+            record = _execute_trial(RngFactory(seed_sequence), obs=obs, **state)
         except TrialTimeoutError as exc:
             raise TrialTimeoutError(f"trial {index}: {exc}") from None
         out.append((index, record))
@@ -730,6 +664,11 @@ class _Checkpoint:
             raise CheckpointError(
                 f"checkpoint {self.path} has an unreadable header: {exc}"
             ) from None
+        if not isinstance(header, dict):
+            raise CheckpointError(
+                f"checkpoint {self.path} line 1 is not a header object: "
+                f"{lines[0][:80]!r}"
+            )
         for key in ("seed_entropy", "n_trials"):
             if header.get(key) != self.header[key]:
                 raise CheckpointError(
@@ -746,7 +685,18 @@ class _Checkpoint:
                 # mid-append) is the expected crash artifact: ignore it
                 # and re-run that trial
                 continue
-            index = int(entry["index"])
+            if not (
+                isinstance(entry, dict)
+                and type(entry.get("index")) is int
+                and isinstance(entry.get("row"), dict)
+                and isinstance(entry.get("info"), dict)
+            ):
+                raise CheckpointError(
+                    f"checkpoint {self.path} line {line_no} is not a trial "
+                    "record (an object with an integer 'index' and dict "
+                    f"'row' and 'info'): {line[:80]!r}"
+                )
+            index = entry["index"]
             if not 0 <= index < self.header["n_trials"]:
                 raise CheckpointError(
                     f"checkpoint {self.path} line {line_no} names trial "
@@ -782,14 +732,11 @@ def run_trials(
     make_context: Optional[ContextFactory] = None,
     keep_metrics: bool = False,
     n_jobs: Optional[int] = None,
-    chunk_size: Optional[int] = None,
     batch_lanes: Optional[int] = None,
     fault_plan: Optional[FaultPlan] = None,
     timeout: Optional[float] = None,
-    max_retries: int = 2,
-    backoff_base: float = 0.5,
     checkpoint_path: Optional[str] = None,
-    executor: Union[str, Executor, None] = None,
+    executor: Optional[str] = None,
     substrate: Optional[str] = None,
     obs: Optional[Registry] = None,
 ) -> TrialResults:
@@ -805,15 +752,14 @@ def run_trials(
     Parameters
     ----------
     n_jobs:
-        Worker processes for trial execution. ``None`` or ``1`` runs
-        serially in-process; ``-1`` uses every core. Parallel execution
-        requires the ``fork`` start method (any Unix); where it is
-        unavailable the runner falls back to the serial path. Results are
-        bit-identical across all ``n_jobs`` values for the same seed.
-    chunk_size:
-        Trials per dispatched work unit (default: ~4 chunks per worker,
-        rounded up to whole lane groups when batching). Affects
-        scheduling only, never results.
+        Worker processes for trial execution, and so the backend:
+        ``None`` or ``1`` runs serially in-process, more runs the fork
+        pool (:class:`~repro.exec.local.LocalPoolExecutor`), ``-1``
+        uses every core. Parallel execution requires the ``fork`` start
+        method (any Unix); where it is unavailable, or only one trial is
+        pending, the runner takes the serial path. Results are
+        bit-identical across all ``n_jobs`` values for the same seed,
+        however often a crashed pool is rebuilt.
     batch_lanes:
         Trials advanced in lockstep per engine invocation (the
         :class:`~repro.sim.batch_engine.BatchedEngine`). ``None`` or
@@ -836,30 +782,14 @@ def run_trials(
         Per-trial wall-clock cap in seconds; a trial running past it
         raises :class:`~repro.errors.TrialTimeoutError` (no retry: a hung
         trial is deterministic). Enforced by the monotonic-deadline
-        watchdog (:mod:`repro.exec.deadline`) on both backends — main
-        thread, other threads and forked pool workers alike.
-    max_retries:
-        Pool rebuilds allowed when pool workers die, before the pool
-        hands the remaining trials to the in-process loop (with a
-        warning, an ``exec.degraded`` count, and ``degraded_from:
-        ["local"]`` in the manifest). Retries re-dispatch the same
-        pre-derived seed sequences, so results stay bit-identical
-        however many retries it takes. ``max_retries`` and
-        ``backoff_base`` seed the shared
-        :class:`~repro.exec.retry.RetryPolicy`.
-    backoff_base:
-        First retry delay in seconds; doubled on each further retry
-        (capped — see :class:`~repro.exec.retry.RetryPolicy`).
+        watchdog (:mod:`repro.exec.deadline`) on both backends, so a
+        serial run with a budget must be called from the main thread
+        (elsewhere it raises :class:`~repro.errors.ConfigurationError`).
     executor:
-        Which execution backend runs the trials: ``None`` (the local
-        fork pool when ``n_jobs`` asks for one, else serial), a backend
-        name (``"serial"``, ``"local"``), or an
-        :class:`~repro.exec.base.Executor` instance (e.g. a
-        :class:`~repro.exec.local.LocalPoolExecutor` with its own
-        :class:`~repro.exec.retry.RetryPolicy`). Results are
-        bit-identical across backends for the same seed; the backend
-        and its worker roster are recorded in the manifest's
-        ``executor`` field.
+        ``None`` (the default: ``n_jobs`` picks the backend) or
+        ``"serial"``, which runs in-process whatever ``n_jobs`` says.
+        The backend that ran, its worker roster and its rebuild tallies
+        are recorded in the manifest's ``executor`` field.
     substrate:
         Post log of every scalar trial's engine: ``"dense"`` (the
         hash-chained :class:`~repro.billboard.board.Billboard`),
@@ -895,9 +825,10 @@ def run_trials(
         raise ConfigurationError(
             f"n_trials must be a positive integer, got {n_trials}"
         )
-    if max_retries < 0:
+    if executor not in (None, "serial"):
         raise ConfigurationError(
-            f"max_retries must be >= 0, got {max_retries}"
+            f"unknown executor {executor!r}; pass None (n_jobs picks the "
+            "backend) or 'serial'"
         )
     # Validate the substrate knob before any work is dispatched; the
     # normalized label (None stays None) is what the manifest records.
@@ -967,19 +898,18 @@ def run_trials(
         fault_plan=fault_plan,
         timeout=timeout,
         substrate=substrate,
-        obs=registry,
     )
-    if lanes > 1:
-        state["batch_lanes"] = lanes
+    run_chunk = functools.partial(_run_chunk, state, lanes)
     on_chunk_done = checkpoint.append if checkpoint is not None else None
-
-    retry = RetryPolicy(max_retries=max_retries, backoff_base=backoff_base)
-    parallel_viable = (
-        jobs > 1
+    use_pool = (
+        executor is None
+        and jobs > 1
         and len(pending) > 1
         and "fork" in multiprocessing.get_all_start_methods()
     )
-    chosen = _choose_executor(executor, jobs, retry, parallel_viable)
+    chosen: Union[LocalPoolExecutor, SerialExecutor] = (
+        LocalPoolExecutor(jobs) if use_pool else SerialExecutor()
+    )
     executor_report: Optional[Dict[str, Any]] = None
     # The only timing in the runner layer: the Timer owns the clock read
     # (inside repro.obs, outside the determinism-critical packages).
@@ -990,16 +920,10 @@ def run_trials(
     )
     with span:
         if pending:
-            chosen._reset_report()
             done.update(
-                chosen.run(
-                    pending,
-                    state,
-                    chunk_size=chunk_size,
-                    on_chunk_done=on_chunk_done,
-                )
+                chosen.run(pending, run_chunk, lanes, registry, on_chunk_done)
             )
-            executor_report = chosen.report.to_dict()
+            executor_report = chosen.report
 
     manifest = collect_manifest(
         seed=seed,

@@ -5,8 +5,9 @@ The backends' correctness contract is single-sentence: for one seed,
 backend ran the trials. These tests pin that sentence, plus the
 provenance trail (the manifest's ``executor`` field) that says what the
 backend actually did, including a pool's hand-off to serial execution
-when its workers keep dying. Crash retries themselves are pinned by
-``tests/sim/test_runner.py::TestBrokenPoolRecovery``.
+when its workers keep dying. ``n_jobs`` picks the backend; ``executor``
+takes only ``None`` and ``"serial"``. Crash retries themselves are
+pinned by ``tests/sim/test_runner.py::TestBrokenPoolRecovery``.
 """
 
 import multiprocessing
@@ -17,7 +18,7 @@ import pytest
 
 from repro.baselines.trivial import TrivialStrategy
 from repro.errors import ConfigurationError
-from repro.exec import LocalPoolExecutor, SerialExecutor
+from repro.exec import local
 from repro.obs.registry import Registry
 from repro.sim.runner import run_trials
 from repro.world.generators import planted_instance
@@ -57,41 +58,50 @@ class TestEquivalence:
     def test_serial_name_matches_default(self):
         assert_identical(sweep(), sweep(executor="serial"))
 
-    def test_serial_instance_matches_default(self):
-        assert_identical(sweep(), sweep(executor=SerialExecutor()))
-
     def test_local_pool_matches_serial(self):
-        assert_identical(sweep(), sweep(executor="local", n_jobs=2))
-
-    def test_local_instance_without_fork_viability_matches_serial(self):
-        # n_jobs=1: the pool is not viable, the backend runs in-process
-        assert_identical(
-            sweep(), sweep(executor=LocalPoolExecutor(n_jobs=1))
-        )
+        assert_identical(sweep(), sweep(n_jobs=2))
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown executor"):
             sweep(executor="socket")
 
     def test_non_executor_object_rejected(self):
-        with pytest.raises(ConfigurationError, match="Executor instance"):
+        with pytest.raises(ConfigurationError, match="unknown executor"):
             sweep(executor=42)
+
+    def test_local_name_refused(self):
+        """``n_jobs`` picks the pool; there is no second way to ask."""
+        with pytest.raises(ConfigurationError, match="unknown executor"):
+            sweep(executor="local", n_jobs=2)
+
+
+def report_of(backend, workers=(), retries=0, worker_losses=0, degraded_from=()):
+    return {
+        "backend": backend,
+        "workers": list(workers),
+        "retries": retries,
+        "worker_losses": worker_losses,
+        "degraded_from": list(degraded_from),
+    }
 
 
 class TestManifestReport:
     def test_serial_backend_recorded(self):
-        manifest = sweep(executor="serial").manifest
-        assert manifest.executor["backend"] == "serial"
-        assert manifest.executor["degraded_from"] == []
+        assert sweep(executor="serial").manifest.executor == report_of("serial")
+
+    def test_serial_name_overrides_n_jobs(self):
+        assert sweep(executor="serial", n_jobs=2).manifest.executor == (
+            report_of("serial")
+        )
 
     def test_local_pool_roster_recorded(self):
-        manifest = sweep(executor="local", n_jobs=2).manifest
-        assert manifest.executor["backend"] == "local"
-        assert manifest.executor["workers"]  # at least one pool worker
+        manifest = sweep(n_jobs=2).manifest
+        assert manifest.executor == report_of("local", ["w0", "w1"])
 
 
 class TestDegradation:
-    def test_pool_failure_degrades_to_serial(self):
+    def test_pool_failure_degrades_to_serial(self, monkeypatch):
+        monkeypatch.setattr(local, "POOL_REBUILDS", 0)
         registry = Registry()
         with pytest.warns(RuntimeWarning, match="degrading to serial"):
             degraded = run_trials(
@@ -99,14 +109,11 @@ class TestDegradation:
                 TrivialStrategy,
                 n_trials=8,
                 seed=42,
-                executor="local",
                 n_jobs=2,
-                max_retries=0,
-                backoff_base=0.0,
                 obs=registry,
             )
         assert_identical(sweep(), degraded)
-        report = degraded.manifest.executor
-        assert report["backend"] == "serial"
-        assert report["degraded_from"] == ["local"]
+        assert degraded.manifest.executor == report_of(
+            "serial", ["w0", "w1"], worker_losses=1, degraded_from=["local"]
+        )
         assert registry.counters()["exec.degraded"] == 1

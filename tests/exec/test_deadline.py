@@ -1,4 +1,4 @@
-"""Monotonic-deadline cancellation: main thread, worker threads, races."""
+"""Monotonic-deadline cancellation: the main thread, and refusal elsewhere."""
 
 import signal
 import threading
@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.errors import TrialTimeoutError
+from repro.errors import ConfigurationError, TrialTimeoutError
 from repro.exec import trial_deadline
 from repro.exec.deadline import timeout_message
 
@@ -55,61 +55,31 @@ class TestMainThread:
             pass  # the watchdog must be clean for the next block
 
 
-class TestWorkerThread:
-    def test_busy_thread_is_cancelled(self):
-        """Off the main thread SIGALRM is useless; the async-exc path
-        must cancel a busy loop and carry the same message."""
-        caught = {}
+class TestOffMainThread:
+    """No signal handler runs off the main thread, so a budget there is
+    refused up front instead of being left unenforced."""
 
-        def busy():
+    def _attempt(self, budget):
+        outcome = {}
+
+        def body():
             try:
-                with trial_deadline(0.2):
-                    deadline = time.monotonic() + 30.0
-                    while time.monotonic() < deadline:
-                        sum(range(1000))  # stay at bytecode boundaries
-            except TrialTimeoutError as exc:
-                caught["error"] = str(exc)
+                with trial_deadline(budget):
+                    outcome["ran"] = True
+            except ConfigurationError as exc:
+                outcome["error"] = str(exc)
 
-        thread = threading.Thread(target=busy)
+        thread = threading.Thread(target=body, name="budgeted", daemon=True)
         thread.start()
         thread.join(timeout=10.0)
         assert not thread.is_alive()
-        assert caught["error"] == timeout_message(0.2)
+        return outcome
 
-    def test_fast_worker_thread_unaffected(self):
-        outcome = {}
+    def test_budget_is_refused(self):
+        outcome = self._attempt(5.0)
+        assert "ran" not in outcome
+        assert "main thread" in outcome["error"]
+        assert "'budgeted'" in outcome["error"]
 
-        def quick():
-            with trial_deadline(30.0):
-                outcome["total"] = sum(range(1000))
-
-        thread = threading.Thread(target=quick)
-        thread.start()
-        thread.join(timeout=5.0)
-        assert outcome["total"] == 499500
-
-    def test_many_concurrent_deadlines(self):
-        """One watchdog serves every thread; only the slow one dies."""
-        errors = {}
-
-        def run(name, budget, work):
-            # short sleeps, not one long one: off-main-thread
-            # cancellation lands at bytecode boundaries only
-            try:
-                with trial_deadline(budget):
-                    deadline = time.monotonic() + work
-                    while time.monotonic() < deadline:
-                        time.sleep(0.01)
-                errors[name] = None
-            except TrialTimeoutError:
-                errors[name] = "timeout"
-
-        threads = [
-            threading.Thread(target=run, args=("fast", 10.0, 0.01)),
-            threading.Thread(target=run, args=("slow", 0.2, 30.0)),
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10.0)
-        assert errors == {"fast": None, "slow": "timeout"}
+    def test_no_budget_is_passthrough(self):
+        assert self._attempt(None) == {"ran": True}

@@ -82,10 +82,61 @@ class TestDiscreditedObjects:
                         assert np.array_equal(got, want), (horizon, threshold)
 
 
+class CheckedSlanderingDistill(SlanderingDistill):
+    """Compares the carried-forward set with the full recount each round."""
+
+    def reset(self, ctx, rng):
+        super().reset(ctx, rng)
+        self.rounds_checked = 0
+        self.ever_discredited = 0
+
+    def _discredited(self, view):
+        got = super()._discredited(view)
+        want = discredited_objects(
+            view, self.slander_threshold, self.ctx.good_threshold
+        )
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), view.before_round
+        self.rounds_checked += 1
+        self.ever_discredited = max(self.ever_discredited, got.size)
+        return got
+
+
 class TestSlander:
     def test_threshold_validation(self):
         with pytest.raises(ConfigurationError):
             SlanderingDistill(slander_threshold=0)
+
+    @pytest.mark.parametrize("world", ["honest", "smear"])
+    def test_carried_counts_match_the_reference(self, world):
+        """A1-style trials (needle world, alpha 0.6, reports recorded):
+        at every round the strategy's discredited set equals
+        ``discredited_objects`` recounted over the whole visible board."""
+        from repro.adversaries.silent import SilentAdversary
+
+        n = 96
+        adversary = SlanderAdversary if world == "smear" else SilentAdversary
+        checked = discredited = 0
+        for seed in range(3):
+            world_rng, honest_rng, adversary_rng = (
+                np.random.default_rng(s)
+                for s in np.random.SeedSequence([seed, n]).spawn(3)
+            )
+            strategy = CheckedSlanderingDistill(slander_threshold=3)
+            SynchronousEngine(
+                planted_instance(n=n, m=n, beta=1 / n, alpha=0.6, rng=world_rng),
+                strategy,
+                adversary=adversary(),
+                rng=honest_rng,
+                adversary_rng=adversary_rng,
+                config=EngineConfig(
+                    record_reports=True, max_rounds=4 * n, strict=False
+                ),
+            ).run()
+            checked += strategy.rounds_checked
+            discredited += strategy.ever_discredited
+        assert checked > 3 * 10
+        assert discredited > 0  # the sets compared were not all empty
 
     def test_smear_suppresses_slander_reader(self):
         inst = planted_instance(

@@ -13,7 +13,6 @@ import pytest
 
 from repro.faults.plan import FaultPlan
 from repro.obs.registry import Registry, observe
-from repro.sim.runner import run_trials
 
 from tests.sim.test_batch_equivalence import (
     ADVERSARIES,
@@ -147,19 +146,18 @@ class TestManifestAttachment:
 
 
 class TestWorkerSnapshotPath:
-    def test_worker_chunk_ships_a_snapshot(self):
-        """The forked-pool contract, exercised in-process: a worker chunk
-        accumulates into a fresh registry and returns its snapshot; the
-        parent's own registry is untouched by the chunk."""
-        import repro.sim.runner as runner_mod
-        from repro.rng import RngFactory
-        from repro.sim.runner import _run_trial_chunk
+    """The forked-pool contract, exercised in-process: a worker chunk
+    accumulates into a fresh registry and returns its snapshot."""
 
-        parent = Registry()
+    def _worker_chunk(self, monkeypatch, n_trials, observed):
+        from repro.exec import local
+        from repro.rng import RngFactory
+        from repro.sim.runner import _run_chunk
+
         root = RngFactory.from_seed(42)
         chunk = [
             (index, fac.seed_sequence)
-            for index, fac in enumerate(root.trial_factories(2))
+            for index, fac in enumerate(root.trial_factories(n_trials))
         ]
         state = dict(
             make_instance=factory(),
@@ -168,40 +166,29 @@ class TestWorkerSnapshotPath:
             make_context=None,
             config=_config("single"),
             keep_metrics=False,
-            obs=parent,
         )
-        previous = runner_mod._WORKER_STATE
-        runner_mod._WORKER_STATE = state
-        try:
-            pairs, snapshot = _run_trial_chunk(chunk)
-        finally:
-            runner_mod._WORKER_STATE = previous
+        seen = []
+
+        def run_chunk(units, obs):
+            seen.append(obs)
+            return _run_chunk(state, 1, units, obs)
+
+        monkeypatch.setattr(local, "_WORKER", (run_chunk, observed))
+        pairs, snapshot = local._pool_chunk(chunk)
+        return pairs, snapshot, seen
+
+    def test_worker_chunk_ships_a_snapshot(self, monkeypatch):
+        """The chunk counts into a registry of its own, never the
+        parent's, and ships that registry's snapshot home."""
+        pairs, snapshot, seen = self._worker_chunk(monkeypatch, 2, True)
         assert len(pairs) == 2
         assert snapshot is not None
         assert snapshot["counters"]["trial.completed"] == 2
-        assert parent.counters() == {}  # the chunk used its own registry
+        assert isinstance(seen[0], Registry)
+        assert seen[0].snapshot() == snapshot
 
-    def test_no_registry_means_no_snapshot(self):
-        import repro.sim.runner as runner_mod
-        from repro.rng import RngFactory
-        from repro.sim.runner import _run_trial_chunk
-
-        root = RngFactory.from_seed(42)
-        chunk = [(0, next(iter(root.trial_factories(1))).seed_sequence)]
-        state = dict(
-            make_instance=factory(),
-            make_strategy=STRATEGIES["distill"],
-            make_adversary=ADVERSARIES["silent"],
-            make_context=None,
-            config=_config("single"),
-            keep_metrics=False,
-            obs=None,
-        )
-        previous = runner_mod._WORKER_STATE
-        runner_mod._WORKER_STATE = state
-        try:
-            pairs, snapshot = _run_trial_chunk(chunk)
-        finally:
-            runner_mod._WORKER_STATE = previous
+    def test_no_registry_means_no_snapshot(self, monkeypatch):
+        pairs, snapshot, seen = self._worker_chunk(monkeypatch, 1, False)
         assert len(pairs) == 1
         assert snapshot is None
+        assert seen == [None]

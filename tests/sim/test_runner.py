@@ -301,8 +301,14 @@ class TestParallelEquivalence:
         assert parallel.strategy_infos == serial.strategy_infos
 
     def test_chunk_size_does_not_change_results(self):
+        """The pool's own chunking (~4 per worker) splits 8 trials into
+        several chunks; results must not notice."""
+        from repro.obs.registry import Registry
+
+        registry = Registry()
         serial = self._run(n_jobs=1)
-        parallel = self._run(n_jobs=2, chunk_size=1)
+        parallel = self._run(n_jobs=2, obs=registry)
+        assert registry.counters()["runner.chunks"] > 2
         for key in serial.per_trial:
             assert np.array_equal(
                 parallel.per_trial[key], serial.per_trial[key]
@@ -394,7 +400,18 @@ class TestTimeout:
 
 class TestBrokenPoolRecovery:
     """Worker crashes must be retried (bit-identically) and, when the
-    pool keeps dying, degrade to serial execution instead of failing."""
+    pool keeps dying, degrade to serial execution instead of failing.
+
+    ``time.sleep`` is patched to record the backoff instead of waiting.
+    """
+
+    @pytest.fixture(autouse=True)
+    def sleeps(self, monkeypatch):
+        from repro.exec import local
+
+        slept = []
+        monkeypatch.setattr(local.time, "sleep", slept.append)
+        return slept
 
     def _crash_once_factory(self, flag_path):
         """An instance factory that kills its pool worker on first use."""
@@ -416,7 +433,7 @@ class TestBrokenPoolRecovery:
 
         return make
 
-    def test_retry_after_worker_crash_is_bit_identical(self, tmp_path):
+    def test_retry_after_worker_crash_is_bit_identical(self, tmp_path, sleeps):
         flag = str(tmp_path / "crashed.flag")
         clean = run_trials(factory(), TrivialStrategy, n_trials=6, seed=11)
         recovered = run_trials(
@@ -425,18 +442,19 @@ class TestBrokenPoolRecovery:
             n_trials=6,
             seed=11,
             n_jobs=2,
-            max_retries=2,
-            backoff_base=0.0,
         )
         import os
 
         assert os.path.exists(flag)  # the crash really happened
+        assert sleeps == [0.5]  # one rebuild, after the first backoff
+        assert recovered.manifest.executor["backend"] == "local"
+        assert recovered.manifest.executor["retries"] == 1
         for key in clean.per_trial:
             assert np.array_equal(
                 recovered.per_trial[key], clean.per_trial[key]
             ), key
 
-    def test_degrades_to_serial_when_pool_keeps_dying(self):
+    def test_degrades_to_serial_when_pool_keeps_dying(self, sleeps):
         def always_crash_in_child(rng):
             import multiprocessing
             import os
@@ -448,20 +466,27 @@ class TestBrokenPoolRecovery:
             )
 
         clean = run_trials(factory(), TrivialStrategy, n_trials=4, seed=3)
-        with pytest.warns(RuntimeWarning, match="degrading to serial"):
+        with pytest.warns(RuntimeWarning, match=r"died 3 time.*degrading to serial"):
             degraded = run_trials(
                 always_crash_in_child,
                 TrivialStrategy,
                 n_trials=4,
                 seed=3,
                 n_jobs=2,
-                max_retries=1,
-                backoff_base=0.0,
             )
         for key in clean.per_trial:
             assert np.array_equal(
                 degraded.per_trial[key], clean.per_trial[key]
             ), key
+        # two rebuilds (POOL_REBUILDS), the backoff doubling from 0.5 s
+        assert sleeps == [0.5, 1.0]
+        assert degraded.manifest.executor == {
+            "backend": "serial",
+            "workers": [f"w{i}" for i in range(6)],
+            "retries": 2,
+            "worker_losses": 3,
+            "degraded_from": ["local"],
+        }
 
     def test_each_trial_checkpointed_once_after_a_crash(self, tmp_path):
         """A rebuilt pool re-submits only unharvested chunks, so the
@@ -478,9 +503,6 @@ class TestBrokenPoolRecovery:
             n_trials=8,
             seed=11,
             n_jobs=2,
-            chunk_size=2,
-            max_retries=2,
-            backoff_base=0.0,
             checkpoint_path=path,
         )
         assert os.path.exists(flag)  # the crash really happened
@@ -488,13 +510,6 @@ class TestBrokenPoolRecovery:
             lines = [json.loads(line) for line in handle if line.strip()]
         indexes = [entry["index"] for entry in lines[1:]]  # line 1: header
         assert sorted(indexes) == list(range(8))
-
-    def test_negative_max_retries_rejected(self):
-        with pytest.raises(ConfigurationError, match="max_retries"):
-            run_trials(
-                factory(), TrivialStrategy, n_trials=2, seed=0,
-                max_retries=-1,
-            )
 
 
 class TestCheckpoint:
@@ -682,8 +697,12 @@ class TestFaultPlanThreading:
         )
 
     def test_fault_runs_bit_identical_serial_vs_parallel(self):
+        from repro.obs.registry import Registry
+
+        registry = Registry()
         serial = self._run(n_jobs=1)
-        parallel = self._run(n_jobs=2, chunk_size=2)
+        parallel = self._run(n_jobs=2, obs=registry)
+        assert registry.counters()["runner.chunks"] > 2  # several chunks
         for key in serial.per_trial:
             assert np.array_equal(
                 serial.per_trial[key], parallel.per_trial[key]

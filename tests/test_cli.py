@@ -58,6 +58,32 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "--strategy", "nope"])
 
+    @pytest.mark.parametrize(
+        "shape, bad_line",
+        [("list-header", 1), ("no-row", 2), ("bare-int", 2)],
+    )
+    def test_misshapen_checkpoint_is_a_clean_error(
+        self, tmp_path, capsys, shape, bad_line
+    ):
+        """A checkpoint line of the wrong shape is a ``CheckpointError``
+        naming the file and line (exit 2), not a traceback."""
+        args = ["run", "--n", "32", "--trials", "2", "--seed", "1"]
+        fresh = tmp_path / "fresh.jsonl"
+        assert main([*args, "--checkpoint", str(fresh)]) == 0
+        header = fresh.read_text().splitlines()[0]
+        body = {
+            "list-header": "[1, 2]\n",
+            "no-row": header + '\n{"index": 0}\n',
+            "bare-int": header + "\n7\n",
+        }[shape]
+        path = tmp_path / "bad.jsonl"
+        path.write_text(body)
+        capsys.readouterr()
+        assert main([*args, "--checkpoint", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"{path} line {bad_line}" in err
+
 
 class TestGauntlet:
     def test_all_adversaries_reported(self, capsys):
