@@ -112,6 +112,9 @@ class VoteLedger:
     * :meth:`counts_in_window` — the per-iteration tallies ``l_t(i)`` of
       Steps 1.4 and 2.2.
 
+    Each query returns its memoized array itself, marked read-only:
+    writing to it raises ``ValueError``, so copy before editing.
+
     Parameters
     ----------
     n_players, n_objects:
@@ -293,24 +296,25 @@ class VoteLedger:
         key = ("current", before_round)
         cached = self._memo.get(key)
         if cached is not None:
-            return cached.copy()
+            return cached
         if before_round is not None:
             self._note_horizon(before_round)
+        total = len(self._objects)
         if before_round is None:
-            if self.mode is VoteMode.MULTI:
-                result = self._first_vote_array(len(self._objects))
-            else:
-                result = self._current_vote.copy()
+            cutoff = total
         else:
             cutoff = self._count_before(before_round)
-            if self.mode is VoteMode.MULTI:
-                result = self._first_vote_array(cutoff)
-            else:
-                # The latest vote before the cutoff wins (MUTABLE); in
-                # SINGLE mode there is at most one vote per player.
-                result = self._last_vote_array(cutoff)
-        self._memo[key] = result
-        return result.copy()
+        if self.mode is VoteMode.MULTI:
+            result = self._first_vote_array(cutoff)
+        elif self.mode is VoteMode.SINGLE or cutoff == total:
+            # A SINGLE player's one vote is its current one, and with
+            # nothing cut a MUTABLE player's latest vote is too; the
+            # players who voted at or after the cutoff had none before it.
+            result = self._current_vote.copy()
+            result[self._players.view()[cutoff:]] = -1
+        else:
+            result = self._last_vote_array(cutoff)
+        return self._memoize(key, result)
 
     def _first_vote_array(self, cutoff: int) -> np.ndarray:
         result = np.full(self.n_players, -1, dtype=np.int64)
@@ -337,16 +341,16 @@ class VoteLedger:
         key = ("objects", before_round)
         cached = self._memo.get(key)
         if cached is not None:
-            return cached.copy()
+            return cached
         if before_round is not None:
             self._note_horizon(before_round)
         if before_round is None:
             cutoff = len(self._objects)
         else:
             cutoff = self._count_before(before_round)
-        result = np.unique(self._objects.view()[:cutoff])
-        self._memo[key] = result
-        return result.copy()
+        voted = np.zeros(self.n_objects, dtype=bool)
+        voted[self._objects.view()[:cutoff]] = True
+        return self._memoize(key, np.flatnonzero(voted))
 
     def counts_in_window(self, start_round: int, end_round: int) -> np.ndarray:
         """Effective votes per object posted in rounds ``[start, end)``.
@@ -366,7 +370,7 @@ class VoteLedger:
         key = ("window", start_round, end_round)
         cached = self._memo.get(key)
         if cached is not None:
-            return cached.copy()
+            return cached
         self._note_horizon(end_round)
         rounds = self._rounds.view()
         lo = int(np.searchsorted(rounds, start_round, side="left"))
@@ -382,8 +386,7 @@ class VoteLedger:
             ).astype(np.int64, copy=False)
         else:
             counts = np.zeros(self.n_objects, dtype=np.int64)
-        self._memo[key] = counts
-        return counts.copy()
+        return self._memoize(key, counts)
 
     def votes_cast_by(self, players: np.ndarray) -> int:
         """Total effective votes cast by the given player ids.
@@ -400,6 +403,17 @@ class VoteLedger:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _memoize(self, key: tuple, result: np.ndarray) -> np.ndarray:
+        """Store a query result and hand it out read-only.
+
+        Callers share the memoized array instead of each getting a copy,
+        so the flag makes a stray write fail loudly (``ValueError``)
+        rather than corrupt every later answer at that horizon.
+        """
+        result.flags.writeable = False
+        self._memo[key] = result
+        return result
+
     def _note_horizon(self, horizon: int) -> None:
         """Bound the memo: evict entries for horizons older than the
         newest horizon queried.

@@ -81,9 +81,16 @@ class DistillPhaseTracker:
     ) -> None:
         self.ctx = ctx
         self.params = params
+        #: membership mask of a restricted universe; ``None`` when the
+        #: universe is every object, which needs no filtering
+        self._members: Optional[np.ndarray] = None
         if universe is None:
             universe = np.arange(ctx.m, dtype=np.int64)
-        self.universe = np.asarray(universe, dtype=np.int64)
+        else:
+            universe = np.asarray(universe, dtype=np.int64)
+            self._members = np.zeros(ctx.m, dtype=bool)
+            self._members[universe] = True
+        self.universe = universe
 
         self.len_step11 = 2 * params.step11_invocations(
             ctx.n, ctx.alpha, ctx.beta
@@ -139,7 +146,9 @@ class DistillPhaseTracker:
         # Step 1.2: objects with a vote, *within this run's universe* —
         # a Theorem 12 class run ignores votes for other classes' objects
         # (they cannot be candidates of this instance).
-        pool = np.intersect1d(view.objects_with_votes(), self.universe)
+        pool = view.objects_with_votes()
+        if self._members is not None:
+            pool = pool[self._members[pool]]
         self._current["s_size"] = int(pool.size)
         self.phase = DistillPhase.STEP13
         self.phase_start = end
@@ -148,10 +157,10 @@ class DistillPhaseTracker:
 
     def _enter_iterations(self, end: int, view: BillboardView) -> None:
         counts = view.counts_in_window(self.phase_start, end)
-        c0 = np.intersect1d(
-            np.flatnonzero(counts >= self.params.c0_vote_threshold),
-            self.universe,
-        ).astype(np.int64)
+        keep = counts >= self.params.c0_vote_threshold
+        if self._members is not None:
+            keep &= self._members
+        c0 = np.flatnonzero(keep)
         self._current["c_sizes"].append(int(c0.size))
         self.candidates = c0
         self.iteration = 0

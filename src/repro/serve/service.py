@@ -18,9 +18,12 @@ Length-prefixed pickle frames of builtins only (:mod:`repro.exec.protocol`
 so a frame that would call something on unpickle gets an ``error``
 reply and its connection is closed; nothing from the peer runs. Bodies
 are type-checked before use, so a malformed body gets an ``error``
-reply too. Request frames over :data:`MAX_REQUEST_BYTES` are refused
-undecoded. The service has no authentication, so it binds loopback
-unless told otherwise. Request frames:
+reply too. Request frames announcing more than :data:`MAX_REQUEST_BYTES`
+are refused from their length prefix: the ``error`` reply goes out
+before any payload is read, and the payload is then read and dropped in
+capped chunks, so a refused frame never sits in memory whole. The
+service has no authentication, so it binds loopback unless told
+otherwise. Request frames:
 
 ``post``      ``{"player", "object", "value", "kind"}`` — buffer a post
               stamped with the current epoch
@@ -91,6 +94,30 @@ _KINDS = {"report": PostKind.REPORT, "vote": PostKind.VOTE}
 #: depth guard, so a ~200 KB frame keying a dict by a tuple nested
 #: 200,000 deep crashes the decoding process
 MAX_REQUEST_BYTES = 64 * 1024
+
+
+class _OversizedRequest(ProtocolError):
+    """A request whose length prefix exceeds :data:`MAX_REQUEST_BYTES`;
+    raised before any of its payload is read."""
+
+    def __init__(self, length: int) -> None:
+        super().__init__(
+            f"refusing a {length}-byte request frame (cap {MAX_REQUEST_BYTES})"
+        )
+        self.length = length
+
+
+async def _discard(reader: asyncio.StreamReader, count: int) -> None:
+    """Read and drop up to ``count`` bytes, at most
+    :data:`MAX_REQUEST_BYTES` at a time; stop early at EOF."""
+    try:
+        while count > 0:
+            block = await reader.read(min(count, MAX_REQUEST_BYTES))
+            if not block:
+                return
+            count -= len(block)
+    except ConnectionError:
+        return
 
 
 def _fields(kind: str, body: Any) -> Dict[str, Any]:
@@ -226,7 +253,7 @@ class BillboardService:
             return {
                 "epoch": self.recommender.epoch,
                 "phase": self.recommender.phase,
-                "scores": [float(s) for s in self.recommender.scores()],
+                "scores": self.recommender.scores().tolist(),
             }
         if op == "recommend":
             try:
@@ -243,7 +270,7 @@ class BillboardService:
             view = self.snapshot()
             return {
                 "epoch": self.epoch,
-                "counts": [int(c) for c in view.cumulative_vote_counts()],
+                "counts": view.cumulative_vote_counts().tolist(),
             }
         if op == "board":
             view = self.snapshot()
@@ -300,13 +327,10 @@ class BillboardService:
         self, reader: asyncio.StreamReader
     ) -> Tuple[str, Any]:
         header = await reader.readexactly(HEADER_BYTES)
-        payload = await reader.readexactly(frame_length(header))
-        if len(payload) > MAX_REQUEST_BYTES:
-            raise ProtocolError(
-                f"refusing a {len(payload)}-byte request frame "
-                f"(cap {MAX_REQUEST_BYTES})"
-            )
-        return decode_frame(payload)
+        length = frame_length(header)
+        if length > MAX_REQUEST_BYTES:
+            raise _OversizedRequest(length)
+        return decode_frame(await reader.readexactly(length))
 
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -327,6 +351,10 @@ class BillboardService:
                 except ProtocolError as exc:
                     writer.write(encode_frame("error", {"message": str(exc)}))
                     await writer.drain()
+                    if isinstance(exc, _OversizedRequest):
+                        # closing with the payload unread would reset the
+                        # connection before the peer reads the reply
+                        await _discard(reader, exc.length)
                     return
                 if kind == "bye":
                     return

@@ -191,10 +191,10 @@ class SynchronousEngine:
         satisfied_round = np.full(n, -1, dtype=np.int64)
         halted_round = np.full(n, -1, dtype=np.int64)
         # The active set is kept as a sorted id array maintained
-        # incrementally (set-minus on crash/halt, union on restart), so
-        # a round's cost scales with the players that actually act —
-        # there is no per-round O(n) mask scan. The arrays stay
-        # bit-identical to the flatnonzero(active) scans they replace:
+        # incrementally (set-minus on crash, a keep-mask on halt, union
+        # on restart), so a round's cost scales with the players that
+        # actually act — there is no per-round O(n) mask scan. The arrays
+        # stay bit-identical to the flatnonzero(active) scans they replace:
         # every update preserves sorted unique ids.
         active_ids = inst.honest_ids.copy()  # honest players still probing
 
@@ -341,10 +341,12 @@ class SynchronousEngine:
                     count_halts(int(halters.size))
                 if halters.size:
                     # halters probed this round, so they are active —
-                    # never pending a restart
-                    active_ids = np.setdiff1d(
-                        active_ids, halters, assume_unique=True
-                    )
+                    # never pending a restart; probers are active_ids at
+                    # the probing positions, so a keep-mask drops them
+                    # in place and the ids stay sorted
+                    keep = np.ones(active_ids.size, dtype=bool)
+                    keep[probing] = ~halt_mask
+                    active_ids = active_ids[keep]
                 halted_round[halters] = round_no
                 if self.trace is not None and halters.size:
                     self.trace.record(

@@ -9,6 +9,7 @@ mode semantics — including interleaved queries, which exercise the
 per-horizon memo's invalidation on new effective votes.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -139,7 +140,8 @@ def test_objects_with_votes_matches_reference(mode, stream, f, horizon):
 @settings(max_examples=80, deadline=None)
 def test_memo_survives_interleaved_records(mode, stream, f, h1, h2):
     """Querying between records must never leak stale memo entries, and
-    repeated queries at the same horizon must return equal fresh copies."""
+    repeated queries at the same horizon must return equal arrays that a
+    caller cannot write through."""
     ledger = VoteLedger(
         N_PLAYERS, N_OBJECTS, mode=mode, max_votes_per_player=f
     )
@@ -153,10 +155,35 @@ def test_memo_survives_interleaved_records(mode, stream, f, h1, h2):
     assert first.tolist() == again.tolist() == ref_current_votes(
         mode, log, h1
     )
-    first[:] = -7  # mutating a returned array must not poison the memo
+    with pytest.raises(ValueError):
+        first[:] = -7  # the memo is shared, so the write must be refused
     assert ledger.current_vote_array(h1).tolist() == ref_current_votes(
         mode, log, h1
     )
     assert ledger.counts_in_window(0, h2).tolist() == ref_counts(
         mode, log, 0, h2
     )
+
+
+@pytest.mark.parametrize("mode", list(VoteMode))
+@pytest.mark.parametrize("horizon", [3, None])
+def test_every_query_hands_out_a_read_only_memo(mode, horizon):
+    """Each query returns its memoized array itself, non-writeable, on
+    the memo miss and on the hit that follows, at a cut horizon and at
+    the full one. Player 0 votes twice, so each mode's own rule runs,
+    and the cut at round 3 leaves votes on both sides."""
+    stream = [(0, 1), (1, 2), (2, 2), (0, 3), (3, 4), (1, 5)]
+    ledger = replay(mode, stream, 2)
+    end = len(stream) if horizon is None else horizon
+    queries = (
+        lambda: ledger.current_vote_array(horizon),
+        lambda: ledger.objects_with_votes(horizon),
+        lambda: ledger.counts_in_window(0, end),
+    )
+    for query in queries:
+        miss = query()
+        hit = query()
+        assert hit is miss
+        assert not miss.flags.writeable
+        with pytest.raises(ValueError):
+            miss[0] = 99

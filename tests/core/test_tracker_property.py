@@ -4,7 +4,9 @@ Hypothesis drives random vote streams (arbitrary players, objects,
 timings — i.e. arbitrary Byzantine posting patterns) through the tracker
 and asserts its structural invariants: phase clocks never run backwards,
 candidate sets are nested within Step 2, restarts reset cleanly, and the
-machine is a pure function of the board prefix.
+machine is a pure function of the board prefix. A tracker restricted to
+a universe (Theorem 12's cost classes) must filter exactly as a
+reference that intersects each phase set with the universe.
 """
 
 import numpy as np
@@ -141,3 +143,62 @@ def test_diagnostics_account_all_iterations(stream):
     assert diag["max_iterations_per_attempt"] <= max(
         (a["iterations"] for a in diag["attempts"]), default=0
     ) + 0
+
+
+#: a universe as ``ObjectSpace.cost_class_members`` returns one: a
+#: sorted subset of the object ids, possibly empty
+universes = st.lists(st.integers(0, M - 1), unique=True).map(sorted)
+
+
+class IntersectReference(DistillPhaseTracker):
+    """Steps 1.2 and 1.4 filtering each phase set through
+    ``np.intersect1d`` with the universe."""
+
+    def _enter_step13(self, end, view):
+        pool = np.intersect1d(view.objects_with_votes(), self.universe)
+        self._current["s_size"] = int(pool.size)
+        self.phase = DistillPhase.STEP13
+        self.phase_start = end
+        self.phase_len = self.len_step13
+        self.pool = pool
+
+    def _enter_iterations(self, end, view):
+        counts = view.counts_in_window(self.phase_start, end)
+        c0 = np.intersect1d(
+            np.flatnonzero(counts >= self.params.c0_vote_threshold),
+            self.universe,
+        ).astype(np.int64)
+        self._current["c_sizes"].append(int(c0.size))
+        self.candidates = c0
+        self.iteration = 0
+        if c0.size == 0:
+            self._restart(end)
+        else:
+            self.phase = DistillPhase.ITERATION
+            self.phase_start = end
+            self.phase_len = self.len_iteration
+            self.pool = c0
+
+
+@given(vote_streams, universes)
+@settings(max_examples=80, deadline=None)
+def test_restricted_universe_matches_intersect1d_reference(stream, members):
+    board = build_board(stream)
+    universe = np.array(members, dtype=np.int64)
+    # short phases (k1=2, k2=4) so a 60-round drive crosses many of them
+    params = DistillParameters(k1=2.0, k2=4.0)
+    tracker = DistillPhaseTracker(ctx(), params, universe=universe)
+    reference = IntersectReference(ctx(), params, universe=universe)
+    for round_no in range(60):
+        view = BillboardView(board, before_round=round_no)
+        tracker.advance(round_no, view)
+        reference.advance(round_no, view)
+        assert tracker.phase is reference.phase
+        assert tracker.phase_start == reference.phase_start
+        for got, want in (
+            (tracker.pool, reference.pool),
+            (tracker.candidates, reference.candidates),
+        ):
+            assert got.dtype == want.dtype == np.int64
+            assert got.tolist() == want.tolist()
+    assert tracker.diagnostics() == reference.diagnostics()

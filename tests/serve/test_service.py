@@ -1,6 +1,8 @@
 """BillboardService integration: the full socket round trip."""
 
 import dataclasses
+import socket
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from repro.billboard import SPARSE_AUTO_THRESHOLD, Billboard, PostKind
 from repro.billboard.views import SnapshotView
 from repro.errors import ConfigurationError, LoadShedError
+from repro.exec.protocol import HEADER_BYTES, decode_frame, frame_length
 from repro.obs.manifest import SCHEMA_VERSION
 from repro.serve import ServeClient, ServeConfig, batch_recommender
 from repro.serve.service import (
@@ -160,6 +163,30 @@ class TestServiceRoundTrip:
                 )
         with ServeClient(host, port) as fresh:
             assert fresh.board()["posts"] == 0
+
+    def test_oversized_announcement_is_refused_before_its_payload(
+        self, served
+    ):
+        """A 32 MiB length prefix earns the cap error while its sender is
+        still sending: the service reads no payload before refusing."""
+        host, port = served.address
+        with socket.create_connection((host, port), timeout=5.0) as sock:
+            sock.sendall(struct.pack(">I", 32 << 20) + bytes(256 << 10))
+            header = _recv_exactly(sock, HEADER_BYTES)
+            kind, body = decode_frame(_recv_exactly(sock, frame_length(header)))
+        assert kind == "error" and "cap" in body["message"]
+        with ServeClient(host, port) as fresh:
+            assert fresh.board()["posts"] == 0
+
+
+def _recv_exactly(sock, count):
+    chunks = []
+    while count:
+        block = sock.recv(count)
+        assert block, "the service closed the connection without a reply"
+        chunks.append(block)
+        count -= len(block)
+    return b"".join(chunks)
 
 
 _LEAVES = (
