@@ -68,6 +68,7 @@ DECLARED_COUNTERS: FrozenSet[str] = frozenset(
         "serve.flushes",
         "serve.posts",
         "serve.queries",
+        "serve.reply_cache_hits",
         "serve.requests",
         "serve.shed",
         "serve.snapshots",

@@ -13,15 +13,16 @@ Wire format
 -----------
 Length-prefixed pickle frames of builtins only (:mod:`repro.exec.protocol`
 — :func:`~repro.exec.protocol.encode_frame` on the way out,
-:func:`~repro.exec.protocol.decode_frame` behind an ``asyncio``
-``readexactly`` loop on the way in). The decoder refuses every global,
+:func:`~repro.exec.protocol.decode_frame` on the way in, called by one
+:class:`asyncio.Protocol` per connection on every complete frame its
+transport has delivered). The decoder refuses every global,
 so a frame that would call something on unpickle gets an ``error``
 reply and its connection is closed; nothing from the peer runs. Bodies
 are type-checked before use, so a malformed body gets an ``error``
 reply too. Request frames announcing more than :data:`MAX_REQUEST_BYTES`
 are refused from their length prefix: the ``error`` reply goes out
-before any payload is read, and the payload is then read and dropped in
-capped chunks, so a refused frame never sits in memory whole. The
+before any payload is read, and the payload is then dropped as it
+arrives, so a refused frame never sits in memory whole. The
 service has no authentication, so it binds loopback unless told
 otherwise. Request frames:
 
@@ -44,8 +45,8 @@ frames (bad request — the request was not applied).
 Concurrency model
 -----------------
 One event loop, no locks: every mutation of the board, the epoch, the
-write buffer, and the admission gauge happens synchronously between
-``await`` points, so handlers are atomic by construction. Snapshot
+write buffer, and the admission gauge happens synchronously inside one
+protocol callback, so handlers are atomic by construction. Snapshot
 isolation then comes free from the board's append-only + monotone-round
 invariant — a reader pinned at epoch ``E`` can never observe later
 traffic (see :class:`~repro.billboard.views.SnapshotView`).
@@ -56,6 +57,11 @@ after the ``tick`` that completes the epoch — which is also the moment
 the online DISTILL recommender folds them in. Epoch advancement is an
 explicit op (driven by the load generator or an operator), keeping the
 whole state machine a deterministic function of the op sequence.
+
+So every ``scores``, ``counts`` and ``recommend k`` read of one epoch
+has the same answer, and the service encodes it once: the ``ok`` frame
+is kept until the next ``tick`` (at most :data:`REPLY_CACHE_ENTRIES`
+of them per epoch) and sent again to every later reader.
 """
 
 from __future__ import annotations
@@ -64,7 +70,7 @@ import asyncio
 import math
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple, cast
 
 from repro.billboard.board import Billboard
 from repro.billboard.columnar import ColumnarBoard
@@ -95,29 +101,10 @@ _KINDS = {"report": PostKind.REPORT, "vote": PostKind.VOTE}
 #: 200,000 deep crashes the decoding process
 MAX_REQUEST_BYTES = 64 * 1024
 
-
-class _OversizedRequest(ProtocolError):
-    """A request whose length prefix exceeds :data:`MAX_REQUEST_BYTES`;
-    raised before any of its payload is read."""
-
-    def __init__(self, length: int) -> None:
-        super().__init__(
-            f"refusing a {length}-byte request frame (cap {MAX_REQUEST_BYTES})"
-        )
-        self.length = length
-
-
-async def _discard(reader: asyncio.StreamReader, count: int) -> None:
-    """Read and drop up to ``count`` bytes, at most
-    :data:`MAX_REQUEST_BYTES` at a time; stop early at EOF."""
-    try:
-        while count > 0:
-            block = await reader.read(min(count, MAX_REQUEST_BYTES))
-            if not block:
-                return
-            count -= len(block)
-    except ConnectionError:
-        return
+#: the most reply frames one epoch keeps: ``scores``, ``counts`` and a
+#: few ``recommend`` sizes. A read past it is answered uncached, so a
+#: client cycling ``k`` cannot grow the cache
+REPLY_CACHE_ENTRIES = 8
 
 
 def _fields(kind: str, body: Any) -> Dict[str, Any]:
@@ -178,7 +165,11 @@ class BillboardService:
         self._c_ticks = self.obs.counter("serve.ticks")
         self._c_flushes = self.obs.counter("serve.flushes")
         self._c_shed = self.obs.counter("serve.shed")
+        self._c_reply_hits = self.obs.counter("serve.reply_cache_hits")
         self._t_request = self.obs.timer("serve.request")
+        #: this epoch's encoded ``ok`` read replies, keyed by ``(op, k)``
+        self._replies: Dict[Tuple[str, Optional[int]], bytes] = {}
+        self._connections: Set[_Connection] = set()
         self._server: Optional[asyncio.AbstractServer] = None
         self._stop: Optional[asyncio.Event] = None
         self.address: Optional[Tuple[str, int]] = None
@@ -233,6 +224,7 @@ class BillboardService:
     def _tick(self) -> Dict[str, Any]:
         self._flush()
         self.epoch += 1
+        self._replies.clear()
         self.recommender.fold_epoch(self.epoch)
         self._c_ticks.add()
         return {
@@ -320,86 +312,59 @@ class BillboardService:
         except ConfigurationError as exc:
             return "error", {"message": str(exc)}
 
+    def _reply_key(
+        self, kind: str, body: Any
+    ) -> Optional[Tuple[str, Optional[int]]]:
+        """The reply-cache key of a read whose ``ok`` reply holds for the
+        whole epoch (``scores``, ``counts``, ``recommend`` with an int
+        ``k`` in ``[0, m]``), or ``None``."""
+        if kind != "query" or type(body) is not dict:
+            return None
+        op = body.get("op")
+        if op in ("scores", "counts"):
+            return op, None
+        if op == "recommend":
+            k = body.get("k", 10)
+            if type(k) is int and 0 <= k <= self.config.n_objects:
+                return op, k
+        return None
+
+    def _reply(self, kind: str, body: Any) -> bytes:
+        """The encoded reply frame to one admitted request.
+
+        ``scores``, ``counts`` and ``recommend k`` read only the snapshot
+        at :attr:`epoch` and the recommender folded to it, and nothing
+        short of :meth:`_tick` moves either (a write accepted now, even
+        one an overflowing buffer flushes, is stamped with this epoch),
+        so their ``ok`` frame is encoded once and sent to every reader
+        of the epoch. Everything else goes through :meth:`_handle`.
+        """
+        key = self._reply_key(kind, body)
+        frame = self._replies.get(key)
+        if frame is not None:
+            self._c_queries.add()
+            self._c_reply_hits.add()
+            return frame
+        reply_kind, reply_body = self._handle(kind, body)
+        frame = encode_frame(reply_kind, reply_body)
+        if (
+            key is not None
+            and reply_kind == "ok"
+            and len(self._replies) < REPLY_CACHE_ENTRIES
+        ):
+            self._replies[key] = frame
+        return frame
+
     # ------------------------------------------------------------------
     # Network front-end
-    # ------------------------------------------------------------------
-    async def _read_frame(
-        self, reader: asyncio.StreamReader
-    ) -> Tuple[str, Any]:
-        header = await reader.readexactly(HEADER_BYTES)
-        length = frame_length(header)
-        if length > MAX_REQUEST_BYTES:
-            raise _OversizedRequest(length)
-        return decode_frame(await reader.readexactly(length))
-
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._c_connections.add()
-        admission = Admission(
-            self.config.rate,
-            self.config.burst,
-            self._gauge,
-            now=time.monotonic(),
-        )
-        try:
-            while True:
-                try:
-                    kind, body = await self._read_frame(reader)
-                except (asyncio.IncompleteReadError, ConnectionResetError):
-                    return  # client hung up between or mid-frame
-                except ProtocolError as exc:
-                    writer.write(encode_frame("error", {"message": str(exc)}))
-                    await writer.drain()
-                    if isinstance(exc, _OversizedRequest):
-                        # closing with the payload unread would reset the
-                        # connection before the peer reads the reply
-                        await _discard(reader, exc.length)
-                    return
-                if kind == "bye":
-                    return
-                self._c_requests.add()
-                reason = admission.admit(time.monotonic())
-                if reason is not None:
-                    self._c_shed.add()
-                    writer.write(
-                        encode_frame(
-                            "shed",
-                            {
-                                "reason": reason,
-                                "message": (
-                                    f"request shed ({reason}); back off "
-                                    "and retry"
-                                ),
-                            },
-                        )
-                    )
-                    await writer.drain()
-                    continue
-                try:
-                    with self._t_request.time():
-                        reply_kind, reply_body = self._handle(kind, body)
-                    writer.write(encode_frame(reply_kind, reply_body))
-                    await writer.drain()
-                finally:
-                    admission.finish()
-                if kind == "shutdown" and reply_kind == "ok":
-                    assert self._stop is not None
-                    self._stop.set()
-                    return
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-
     # ------------------------------------------------------------------
     async def start(self) -> Tuple[str, int]:
         """Bind and start serving; returns the bound ``(host, port)``."""
         self._stop = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_client, host=self.config.host, port=self.config.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self),
+            host=self.config.host,
+            port=self.config.port,
         )
         sockname = self._server.sockets[0].getsockname()
         self.address = (str(sockname[0]), int(sockname[1]))
@@ -407,10 +372,16 @@ class BillboardService:
         return self.address
 
     async def wait_shutdown(self) -> None:
-        """Block until a ``shutdown`` frame arrives, then close."""
+        """Block until a ``shutdown`` frame arrives, then close the
+        listener and every open connection."""
         assert self._stop is not None and self._server is not None
         await self._stop.wait()
         self._server.close()
+        for connection in list(self._connections):
+            # a closing transport is still sending its last reply; abort
+            # the rest, whose peers may never read what is left unsent
+            if not connection.transport.is_closing():
+                connection.transport.abort()
         await self._server.wait_closed()
 
     async def _main(self, announce: bool) -> None:
@@ -422,6 +393,142 @@ class BillboardService:
     def run(self, announce: bool = True) -> None:
         """Own an event loop until shutdown (the ``repro serve`` path)."""
         asyncio.run(self._main(announce))
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection, reading frames straight off its transport.
+
+    :meth:`data_received` answers every complete frame in the buffer,
+    in order, and writes each reply with ``transport.write``. A reply
+    that fills the transport's write buffer pauses the connection:
+    parsing and reading stop, and the request that wrote it keeps its
+    in-flight slot until :meth:`resume_writing`. So a client that never
+    reads cannot make the service buffer without bound, and it still
+    counts against ``max_inflight``.
+    """
+
+    def __init__(self, service: BillboardService) -> None:
+        self.service = service
+        self.transport: asyncio.Transport
+        self.admission = Admission(
+            service.config.rate,
+            service.config.burst,
+            service._gauge,
+            now=time.monotonic(),
+        )
+        self.buffer = bytearray()
+        #: bytes of a refused frame still to drop before the close
+        self.discard = 0
+        self.paused = False
+        #: an admitted request holds its in-flight slot
+        self.holding = False
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = cast(asyncio.Transport, transport)
+        self.service._connections.add(self)
+        self.service._c_connections.add()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.service._connections.discard(self)
+        self._release()
+
+    def pause_writing(self) -> None:
+        self.paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self._release()
+        self.transport.resume_reading()
+        self._answer()
+
+    def data_received(self, data: bytes) -> None:
+        if self.discard:
+            self.discard -= len(data)
+            if self.discard <= 0:
+                self.transport.close()
+            return
+        self.buffer += data
+        self._answer()
+
+    # ------------------------------------------------------------------
+    def _release(self) -> None:
+        if self.holding:
+            self.holding = False
+            self.admission.finish()
+
+    def _answer(self) -> None:
+        """Answer the buffer's complete frames, in order, until it runs
+        dry, a reply pauses the transport or the connection closes."""
+        buffer, transport = self.buffer, self.transport
+        start = 0
+        try:
+            while not (self.paused or transport.is_closing()):
+                body_at = start + HEADER_BYTES
+                if len(buffer) < body_at:
+                    break
+                length = frame_length(buffer[start:body_at])
+                end = body_at + length
+                if length > MAX_REQUEST_BYTES:
+                    start = len(buffer)
+                    self._refuse(
+                        f"refusing a {length}-byte request frame "
+                        f"(cap {MAX_REQUEST_BYTES})",
+                        unread=end - start,
+                    )
+                    break
+                if len(buffer) < end:
+                    break
+                kind, body = decode_frame(buffer[body_at:end])
+                start = end
+                self._request(kind, body)
+        except ProtocolError as exc:
+            start = len(buffer)
+            self._refuse(str(exc))
+        finally:
+            del buffer[:start]
+
+    def _refuse(self, message: str, unread: int = 0) -> None:
+        """Reply ``error`` to a refused frame and close once the
+        ``unread`` bytes it still announces have arrived and been
+        dropped: closing with them unread would reset the connection
+        before the peer reads the reply."""
+        self.transport.write(encode_frame("error", {"message": message}))
+        self.discard = unread
+        if unread <= 0:
+            self.transport.close()
+
+    def _request(self, kind: str, body: Any) -> None:
+        service = self.service
+        if kind == "bye":
+            self.transport.close()
+            return
+        service._c_requests.add()
+        reason = self.admission.admit(time.monotonic())
+        if reason is not None:
+            service._c_shed.add()
+            self.transport.write(
+                encode_frame(
+                    "shed",
+                    {
+                        "reason": reason,
+                        "message": (
+                            f"request shed ({reason}); back off and retry"
+                        ),
+                    },
+                )
+            )
+            return
+        self.holding = True
+        with service._t_request.time():
+            frame = service._reply(kind, body)
+        self.transport.write(frame)
+        if not self.paused:  # else the slot waits for resume_writing
+            self._release()
+        if kind == "shutdown":
+            assert service._stop is not None
+            service._stop.set()
+            self.transport.close()
 
 
 class ServiceThread:
