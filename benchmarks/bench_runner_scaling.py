@@ -75,6 +75,7 @@ def _time_per_call(fn: Callable[[], object], target_seconds: float = 0.2) -> flo
     """Mean seconds per call over enough iterations to fill the target."""
     fn()  # warm-up (also populates any memo exactly once per variant)
     start = time.perf_counter()
+    fn()  # one timed call sizes the loop
     single = max(time.perf_counter() - start, 1e-9)
     iterations = max(3, int(target_seconds / single))
     start = time.perf_counter()

@@ -22,25 +22,20 @@ syntax are documented in ``docs/static_analysis.md``.
 """
 
 from repro.lint.engine import (
-    DEFAULT_CACHE,
     DEFAULT_PATHS,
     LintError,
     Violation,
-    lint_paths,
     lint_project,
     lint_source,
 )
-from repro.lint.rules import PROJECT_RULES, RULES, Rule
+from repro.lint.rules import RULES, Rule
 
 __all__ = [
-    "DEFAULT_CACHE",
     "DEFAULT_PATHS",
     "LintError",
-    "PROJECT_RULES",
     "RULES",
     "Rule",
     "Violation",
-    "lint_paths",
     "lint_project",
     "lint_source",
 ]

@@ -4,14 +4,10 @@ The per-file rules (RPL001–RPL009) see one AST at a time; the cross-file
 families (RPL011–RPL013) need facts no single file witnesses — which
 ``REPRO_*`` variable has a CLI flag in a *different* module, which
 counter names the obs registry declares, where an rng stream flows.
-This module extracts a compact, JSON-serializable :class:`FileSummary`
-from each parsed module (so summaries cache and pickle across worker
-processes) and aggregates them into a :class:`ProjectModel` that the
-phase-2 checkers (``streamflow``, ``registry``) query.
-
-Summaries are deliberately *plain data* (dicts/lists/strings): the
-incremental cache stores them verbatim keyed by file content hash, so a
-warm run rebuilds the whole model without re-parsing a single file.
+This module extracts a compact summary from each parsed module and
+aggregates the summaries into a :class:`ProjectModel` that the phase-2
+checkers (``streamflow``, ``registry``) query. A summary keeps only the
+facts some checker reads, so the model holds no AST.
 """
 
 from __future__ import annotations
@@ -19,11 +15,8 @@ from __future__ import annotations
 import ast
 import os
 import re
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
-
-#: bump when the summary extraction changes shape — invalidates caches
-SUMMARY_SCHEMA = 4
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 #: markdown files folded into the model for RPL012/RPL013 docs legs
 DOC_GLOB_DIRS: Tuple[str, ...] = ("docs",)
@@ -35,18 +28,6 @@ _ENV_RE = re.compile(r"\bREPRO_[A-Z][A-Z0-9_]*\b")
 #: the whole backtick payload must be the token, so `engine.run()` or
 #: `repro.obs.registry` never match
 _DOC_METRIC_RE = re.compile(r"`([a-z][a-z0-9_]*\.[a-z][a-z0-9_]*)`")
-
-_FLAG_RE = re.compile(r"--[a-z][a-z0-9-]*")
-
-
-def module_name_for(path: str) -> str:
-    """Dotted module id for a repo path (``src/repro/x.py`` → ``repro.x``)."""
-    norm = path.replace("\\", "/")
-    trimmed = norm[:-3] if norm.endswith(".py") else norm
-    parts = [p for p in trimmed.split("/") if p not in ("", ".", "src")]
-    if parts and parts[-1] == "__init__":
-        parts = parts[:-1]
-    return ".".join(parts)
 
 
 def _dotted(node: ast.AST) -> Optional[str]:
@@ -63,61 +44,16 @@ def _dotted(node: ast.AST) -> Optional[str]:
 class _SummaryVisitor(ast.NodeVisitor):
     """One pass over a module collecting every cross-file-relevant fact."""
 
-    def __init__(self, path: str, module: str) -> None:
-        self.path = path
-        self.module = module
-        self.aliases: Dict[str, str] = {}
-        self.functions: Dict[str, Dict[str, Any]] = {}
+    def __init__(self) -> None:
         self.env_vars: List[Dict[str, Any]] = []
         self.env_consts: Dict[str, str] = {}
-        self.argparse_flags: List[Dict[str, Any]] = []
+        self.flag_help: List[str] = []
         self.counter_sites: List[Dict[str, Any]] = []
         self.string_consts: Dict[str, List[Tuple[str, int]]] = {}
-        self._class_stack: List[str] = []
         self._func_stack: List[str] = []
 
-    # -- imports --------------------------------------------------------
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            local = alias.asname or alias.name.split(".")[0]
-            self.aliases[local] = alias.name if alias.asname else local
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        module = node.module or ""
-        if node.level:  # resolve relative imports against this module
-            base = self.module.split(".")
-            base = base[: len(base) - node.level]
-            module = ".".join(base + ([module] if module else []))
-        for alias in node.names:
-            local = alias.asname or alias.name
-            if module:
-                self.aliases[local] = f"{module}.{alias.name}"
-        self.generic_visit(node)
-
-    def resolve(self, name: Optional[str]) -> Optional[str]:
-        """Canonicalize a (possibly dotted) local name through imports."""
-        if name is None:
-            return None
-        head, _, rest = name.partition(".")
-        origin = self.aliases.get(head)
-        if origin is None:
-            return name
-        return f"{origin}.{rest}" if rest else origin
-
-    # -- classes and functions -----------------------------------------
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self._class_stack.append(node.name)
-        self.generic_visit(node)
-        self._class_stack.pop()
-
+    # -- functions ------------------------------------------------------
     def _handle_function(self, node: Any) -> None:
-        params = [a.arg for a in node.args.args if a.arg != "self"]
-        if not self._class_stack and not self._func_stack:
-            self.functions[node.name] = {
-                "line": node.lineno,
-                "params": params,
-            }
         self._func_stack.append(node.name)
         self.generic_visit(node)
         self._func_stack.pop()
@@ -182,13 +118,7 @@ class _SummaryVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
     def _note_argparse(self, node: ast.Call) -> None:
-        flag = None
-        if node.args and isinstance(node.args[0], ast.Constant):
-            value = node.args[0].value
-            if isinstance(value, str) and value.startswith("--"):
-                flag = value
         help_text = ""
-        env_in_default = False
         for kw in node.keywords:
             if kw.arg == "help":
                 for sub in ast.walk(kw.value):
@@ -196,22 +126,8 @@ class _SummaryVisitor(ast.NodeVisitor):
                         sub.value, str
                     ):
                         help_text += sub.value
-            if kw.arg == "default":
-                for sub in ast.walk(kw.value):
-                    if isinstance(sub, ast.Constant) and isinstance(
-                        sub.value, str
-                    ):
-                        if _ENV_RE.search(sub.value):
-                            env_in_default = True
-        if flag is not None or help_text:
-            self.argparse_flags.append(
-                {
-                    "flag": flag,
-                    "line": node.lineno,
-                    "help": help_text,
-                    "env_in_default": env_in_default,
-                }
-            )
+        if help_text:
+            self.flag_help.append(help_text)
 
     def _note_counter_site(self, node: ast.Call, kind: str) -> None:
         if not node.args:
@@ -270,48 +186,33 @@ def summarize_module(
     """Extract the cross-file summary for one parsed module."""
     from repro.lint.streamflow import extract_stream_facts
 
-    module = module_name_for(path)
-    visitor = _SummaryVisitor(path, module)
+    visitor = _SummaryVisitor()
     visitor.visit(tree)
     return {
-        "schema": SUMMARY_SCHEMA,
         "path": path,
-        "module": module,
-        "aliases": visitor.aliases,
-        "functions": visitor.functions,
         "env_vars": visitor.env_vars,
         "env_consts": visitor.env_consts,
-        "argparse_flags": visitor.argparse_flags,
+        "flag_help": visitor.flag_help,
         "counter_sites": visitor.counter_sites,
-        "string_consts": {
-            k: [[s, ln] for s, ln in v]
-            for k, v in visitor.string_consts.items()
-        },
-        "stream": extract_stream_facts(tree, visitor),
-        "suppressions": {
-            str(line): codes for line, codes in suppressions.items()
-        },
+        "string_consts": visitor.string_consts,
+        "stream": extract_stream_facts(tree),
+        "suppressions": suppressions,
     }
 
 
 def summarize_doc(path: str, text: str) -> Dict[str, Any]:
-    """Token scan of one markdown file (env vars, metric names, flags)."""
+    """Token scan of one markdown file (env vars, metric names)."""
     env: Dict[str, int] = {}
     metrics: Dict[str, int] = {}
-    flags: Set[str] = set()
     for line_no, line in enumerate(text.splitlines(), start=1):
         for match in _ENV_RE.finditer(line):
             env.setdefault(match.group(0), line_no)
         for match in _DOC_METRIC_RE.finditer(line):
             metrics.setdefault(match.group(1), line_no)
-        for match in _FLAG_RE.finditer(line):
-            flags.add(match.group(0))
     return {
-        "schema": SUMMARY_SCHEMA,
         "path": path,
         "env": env,
         "metrics": metrics,
-        "flags": sorted(flags),
     }
 
 
@@ -333,42 +234,27 @@ def discover_doc_files(root: str = ".") -> List[str]:
 
 @dataclass
 class ProjectModel:
-    """Aggregated phase-1 facts the cross-file checkers query."""
+    """Aggregated phase-1 facts the cross-file checkers query.
 
-    files: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    docs: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    ``files`` maps each linted module's path to its summary, ``docs``
+    each folded-in markdown file's path to its token scan.
+    """
 
-    @classmethod
-    def build(
-        cls,
-        summaries: Sequence[Dict[str, Any]],
-        doc_summaries: Sequence[Dict[str, Any]],
-    ) -> "ProjectModel":
-        model = cls()
-        for summary in summaries:
-            model.files[summary["path"]] = summary
-        for doc in doc_summaries:
-            model.docs[doc["path"]] = doc
-        return model
+    files: Dict[str, Dict[str, Any]]
+    docs: Dict[str, Dict[str, Any]]
 
     # -- suppression-aware emission --------------------------------------
     def is_suppressed(self, path: str, line: int, code: str) -> bool:
         summary = self.files.get(path)
         if summary is None:
             return False
-        return code in summary["suppressions"].get(str(line), [])
+        return code in summary["suppressions"].get(line, [])
 
     # -- doc queries ----------------------------------------------------
     def docs_mentioning_env(self, name: str) -> List[str]:
         return [
             path for path, doc in self.docs.items() if name in doc["env"]
         ]
-
-    def doc_flags(self) -> Set[str]:
-        out: Set[str] = set()
-        for doc in self.docs.values():
-            out.update(doc["flags"])
-        return out
 
     # -- project-wide iterators -----------------------------------------
     def src_files(self) -> List[Dict[str, Any]]:

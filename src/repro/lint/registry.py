@@ -77,8 +77,7 @@ def check_knobs(model: Any) -> Iterator[Dict[str, Any]]:
     flags_help: List[str] = []
     resolver_envs: Set[str] = set()
     for summary in model.src_files():
-        for record in summary["argparse_flags"]:
-            flags_help.append(record["help"])
+        flags_help.extend(summary["flag_help"])
         for occ in summary["env_vars"]:
             if occ["function"].startswith(_RESOLVER_PREFIXES):
                 resolver_envs.add(occ["name"])

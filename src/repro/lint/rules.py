@@ -135,10 +135,6 @@ RULES: Dict[str, Rule] = {
     )
 }
 
-#: rule families evaluated over the whole project model (phase 2) rather
-#: than one file's AST; engine.py routes these to the project checkers
-PROJECT_RULES: Tuple[str, ...] = ("RPL011", "RPL012", "RPL013")
-
 #: the only numpy.random attributes that are part of the Generator-era
 #: seeding API; calling anything else on numpy.random is the legacy
 #: global-state interface (RPL001)

@@ -23,7 +23,7 @@ suppression filter.
 from __future__ import annotations
 
 import ast
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 _SPAWN_SOURCES = ("spawn",)
 
@@ -148,8 +148,8 @@ def _call_name(node: ast.Call) -> Optional[str]:
     return None
 
 
-def extract_stream_facts(tree: ast.AST, visitor: Any) -> List[Dict[str, Any]]:
-    """Per-scope stream facts for one module (phase-1, serializable)."""
+def extract_stream_facts(tree: ast.AST) -> List[Dict[str, Any]]:
+    """Per-scope stream facts for one module (phase-1 plain data)."""
     scopes: List[Tuple[str, ast.AST]] = [("<module>", tree)]
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):

@@ -21,7 +21,7 @@ def run_lint(tmp_path, monkeypatch, files, select=None):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(content))
     monkeypatch.chdir(tmp_path)
-    return lint_project(["pkg"], select=select, cache_path=None)
+    return lint_project(["pkg"], select=select)
 
 
 class TestStreamFlow:
@@ -406,7 +406,7 @@ class TestGateHasTeethProjectRules:
             },
         )
         monkeypatch.chdir(tmp_path)
-        code = main(["pkg", "--no-cache"])
+        code = main(["pkg"])
         out = capsys.readouterr().out
         assert code == 1
         assert "RPL013" in out

@@ -335,9 +335,6 @@ class TestInfrastructure:
         }
         cross_file = {"RPL011", "RPL012", "RPL013"}
         assert per_file | cross_file == set(RULES)
-        from repro.lint.rules import PROJECT_RULES
-
-        assert cross_file == set(PROJECT_RULES)
 
     def test_rules_carry_code_summary_and_hint(self):
         for code, rule in RULES.items():

@@ -12,8 +12,11 @@ import os
 import subprocess
 import sys
 
-from repro.lint import lint_paths, lint_project
+import pytest
+
+from repro.lint import engine, lint_project
 from repro.lint.cli import main
+from repro.lint.rules import RawViolation
 
 ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), os.pardir, os.pardir)
@@ -24,42 +27,37 @@ def repo_paths():
     return [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 
+@pytest.fixture(scope="module")
+def repo_violations():
+    """One whole-tree lint from the repo root, shared by the class below."""
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        return lint_project(["src", "tests"])
+    finally:
+        os.chdir(cwd)
+
+
 class TestRepoIsClean:
-    def test_repo_lints_entry_free(self):
-        cwd = os.getcwd()
-        os.chdir(ROOT)
-        try:
-            violations = lint_paths(["src", "tests"])
-        finally:
-            os.chdir(cwd)
-        assert not violations, "determinism-contract violations:\n" + (
-            "\n".join(v.render() for v in violations)
+    def test_repo_lints_entry_free(self, repo_violations):
+        assert not repo_violations, "determinism-contract violations:\n" + (
+            "\n".join(v.render() for v in repo_violations)
         )
 
-    def test_repo_clean_under_project_rules(self):
+    def test_repo_clean_under_project_rules(self, repo_violations):
         # the cross-file families (RPL011-RPL013) must hold repo-wide,
-        # not just the per-file rules lint_paths covers
-        cwd = os.getcwd()
-        os.chdir(ROOT)
-        try:
-            violations = lint_project(["src", "tests"], cache_path=None)
-        finally:
-            os.chdir(cwd)
-        assert violations == [], "\n".join(v.render() for v in violations)
+        # not just the per-file rules
+        cross_file = [
+            v
+            for v in repo_violations
+            if v.code in ("RPL011", "RPL012", "RPL013")
+        ]
+        assert cross_file == [], "\n".join(v.render() for v in cross_file)
 
-    def test_every_inline_suppression_carries_a_reason(self):
+    def test_every_inline_suppression_carries_a_reason(self, repo_violations):
         # RPL009 runs unconditionally, so a clean tree implies every
         # `# repro: noqa` in it has a reason; make that explicit here
-        cwd = os.getcwd()
-        os.chdir(ROOT)
-        try:
-            bare = [
-                v
-                for v in lint_paths(["src", "tests"], select=["RPL009"])
-            ]
-        finally:
-            os.chdir(cwd)
-        assert bare == []
+        assert [v for v in repo_violations if v.code == "RPL009"] == []
 
 
 class TestGateHasTeeth:
@@ -73,7 +71,7 @@ class TestGateHasTeeth:
             "    adversary_rng = np.random.default_rng(args.seed + 2)\n"
             "    return rng, adversary_rng\n"
         )
-        violations = lint_paths([str(bad)])
+        violations = lint_project([str(bad)])
         assert [v.code for v in violations] == ["RPL004", "RPL004"]
         assert main([str(bad)]) == 1
 
@@ -89,6 +87,35 @@ class TestGateHasTeeth:
         assert main(["--list-rules"]) == 0
         assert main([str(tmp_path / "missing.py")]) == 2
         capsys.readouterr()
+
+    def test_rerun_applies_the_current_rules(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # a second run over an unchanged file must report what the rules
+        # find now, not what an earlier run found: a tightened rule has
+        # to reach files its edit did not touch
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "module.py").write_text(
+            "import collections\n"
+            "def f(seen=collections.OrderedDict()):\n"
+            "    return seen\n"
+        )
+        assert main(["module.py"]) == 0
+        capsys.readouterr()
+
+        real_check_tree = engine.check_tree
+
+        def tightened(tree, path):
+            return sorted(
+                real_check_tree(tree, path)
+                + [RawViolation(2, 11, "RPL007", "OrderedDict() default")]
+            )
+
+        monkeypatch.setattr(engine, "check_tree", tightened)
+        assert main(["module.py"]) == 1
+        assert "module.py:2:12: RPL007 OrderedDict() default" in (
+            capsys.readouterr().out
+        )
 
     def test_json_report_shape(self, tmp_path, capsys):
         dirty = tmp_path / "module.py"
