@@ -28,6 +28,7 @@ materialization is still detected.
 from __future__ import annotations
 
 import hashlib
+from typing import Union
 
 import numpy as np
 
@@ -100,7 +101,7 @@ class Billboard(ColumnarBoard):
         players: np.ndarray,
         objects: np.ndarray,
         values: np.ndarray,
-        votes: np.ndarray,
+        votes: Union[np.ndarray, bool],
     ) -> None:
         super()._extend(round_no, players, objects, values, votes)
         _extend_rows(self._pending, round_no, players, objects, values, votes)

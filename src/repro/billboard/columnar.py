@@ -13,7 +13,7 @@ this board plus a lazy hash chain.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -55,16 +55,22 @@ def _extend_rows(
     players: np.ndarray,
     objects: np.ndarray,
     values: np.ndarray,
-    votes: np.ndarray,
+    votes: Union[np.ndarray, bool],
 ) -> None:
     """Write one round's posts into ``columns``; ids and kinds narrow as
-    they are copied in."""
+    they are copied in. ``votes`` is one flag per post, or a single flag
+    for a same-kind block; the round, and a block's single flag, are
+    written in place."""
     rounds, player_col, object_col, value_col, kinds = columns
-    rounds.extend(np.full(players.size, round_no, np.int32))
+    count = players.shape[0]
+    rounds.fill(round_no, count)
     player_col.extend(players)
     object_col.extend(objects)
     value_col.extend(values)
-    kinds.extend(votes)
+    if isinstance(votes, np.ndarray):
+        kinds.extend(votes)
+    else:
+        kinds.fill(votes, count)
 
 
 class ColumnarBoard:
@@ -200,7 +206,14 @@ class ColumnarBoard:
         """Append a same-round, same-kind block of posts given as columns
         (honest posts, and every adversary turn's
         :class:`~repro.billboard.post.PostBlock`); otherwise
-        :meth:`append_many`."""
+        :meth:`append_many`.
+
+        The block is validated whole first (the error is the first bad
+        entry's, as in :meth:`append_many`); its round and kind are
+        written into the columns in place, and a vote block goes to the
+        ledger's :meth:`~repro.billboard.votes.VoteLedger.record_block`
+        as the arrays it came in.
+        """
         players = np.asarray(players, dtype=np.int64)
         if players.size == 0:
             return
@@ -208,7 +221,7 @@ class ColumnarBoard:
         self._validate(round_no, players, objects)
         is_vote = kind is PostKind.VOTE
         values = np.asarray(values, dtype=np.float64)
-        self._extend(round_no, players, objects, values, np.full(players.size, is_vote))
+        self._extend(round_no, players, objects, values, is_vote)
         if is_vote:
             self.ledger.record_block(round_no, players, objects)
 
@@ -220,13 +233,20 @@ class ColumnarBoard:
         # The round checks are the same for every entry, so entry 0
         # raises them unless its own ids fail first.
         self._validate_entry(round_no, int(players[0]), int(objects[0]))
-        bad = (
-            (players < 0)
-            | (players >= self.n_players)
-            | (objects < 0)
-            | (objects >= self.n_objects)
-        )
-        if bad.any():
+        # An int64 id lies in [0, bound) iff it is below bound read as
+        # unsigned (a negative one wraps past 2^63), so one reduction per
+        # column clears a good batch; only a failing one pays for the
+        # mask that finds the first bad entry.
+        if (
+            players.view(np.uint64).max() >= self.n_players
+            or objects.view(np.uint64).max() >= self.n_objects
+        ):
+            bad = (
+                (players < 0)
+                | (players >= self.n_players)
+                | (objects < 0)
+                | (objects >= self.n_objects)
+            )
             first = int(np.argmax(bad))
             self._validate_entry(round_no, int(players[first]), int(objects[first]))
 
@@ -260,9 +280,10 @@ class ColumnarBoard:
         players: np.ndarray,
         objects: np.ndarray,
         values: np.ndarray,
-        votes: np.ndarray,
+        votes: Union[np.ndarray, bool],
     ) -> None:
-        """Write one validated round's batch."""
+        """Write one validated round's batch (``votes`` as in
+        :func:`_extend_rows`)."""
         _extend_rows(self._columns(), round_no, players, objects, values, votes)
         self._last_round = round_no
 

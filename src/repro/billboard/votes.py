@@ -45,7 +45,9 @@ class _IntColumn:
     prefix; callers must not mutate it. The default ``int64`` matches the
     dense ledger's arithmetic; the columnar board passes narrower
     dtypes (``int32`` ids, ``float64`` values, ``int8`` kinds) to keep
-    million-post logs compact.
+    million-post logs compact. A block's constant columns (its round, its
+    kind) go in through :meth:`fill`, which writes the value in place
+    instead of copying a temporary array.
     """
 
     __slots__ = ("_buf", "_size")
@@ -69,6 +71,14 @@ class _IntColumn:
         if needed > self._buf.shape[0]:
             self._grow(needed)
         self._buf[self._size : needed] = values
+        self._size = needed
+
+    def fill(self, value: float, count: int) -> None:
+        """Append ``count`` copies of ``value``, written in place."""
+        needed = self._size + count
+        if needed > self._buf.shape[0]:
+            self._grow(needed)
+        self._buf[self._size : needed] = value
         self._size = needed
 
     def _grow(self, needed: int) -> None:
@@ -226,6 +236,12 @@ class VoteLedger:
         engine's hot path for adversaries that flood thousands of votes in
         one round. The other modes fall back to the per-post rule.
 
+        A ``SINGLE`` block whose player ids strictly increase (every
+        honest block: its voters are a masked subset of the engine's
+        sorted active ids) repeats no player, so it skips the sort that
+        finds each player's first vote in any other block. A block whose
+        every vote is effective is logged from its own arrays.
+
         An empty block is an explicit no-op: no state is touched, the
         memo survives, and an empty boolean mask is returned.
         """
@@ -248,15 +264,19 @@ class VoteLedger:
             )
         # SINGLE: a vote is effective iff the player has no prior vote
         # and this is the player's first vote within the block.
-        no_prior = self._current_vote[players] == -1
-        first_in_block = np.zeros(players.size, dtype=bool)
-        _uniq, first = np.unique(players, return_index=True)
-        first_in_block[first] = True
-        effective = no_prior & first_in_block
-        if effective.any():
-            eff_players = players[effective]
-            eff_objects = objects[effective]
-            self._rounds.extend(np.full(eff_players.size, round_no, np.int64))
+        effective = self._current_vote[players] == -1
+        if not (players[1:] > players[:-1]).all():
+            first_in_block = np.zeros(players.size, dtype=bool)
+            _uniq, first = np.unique(players, return_index=True)
+            first_in_block[first] = True
+            effective &= first_in_block
+        n_effective = int(np.count_nonzero(effective))
+        if n_effective:
+            if n_effective == players.size:
+                eff_players, eff_objects = players, objects
+            else:
+                eff_players, eff_objects = players[effective], objects[effective]
+            self._rounds.fill(round_no, n_effective)
             self._players.extend(eff_players)
             self._objects.extend(eff_objects)
             self._current_vote[eff_players] = eff_objects

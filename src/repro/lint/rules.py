@@ -120,8 +120,8 @@ RULES: Dict[str, Rule] = {
             "trio or its docs entry",
             "every REPRO_* knob must be reachable three ways — a CLI "
             "flag whose help names the variable, the environment "
-            "variable itself, and a default_*/resolve_* (or argparse "
-            "default) path — and be documented in docs/",
+            "variable itself, and a default_*/resolve_* reader — and be "
+            "documented in docs/",
         ),
         Rule(
             "RPL013",

@@ -47,6 +47,12 @@ class RngFactory:
     identical generator streams in the same spawn order, which is the
     property the engine's determinism tests rely on.
 
+    The factory never spawns from the wrapped sequence, so the sequence's
+    ``n_children_spawned`` stays where it was when the factory was built
+    (numpy makes it read-only). Two factories over one sequence therefore
+    hand out the same children; spawn from a sequence before wrapping it,
+    not after.
+
     Example
     -------
     >>> factory = RngFactory.from_seed(7)
@@ -56,14 +62,33 @@ class RngFactory:
 
     seed_sequence: np.random.SeedSequence
     _spawned: int = field(default=0, repr=False)
+    #: the wrapped sequence's ``n_children_spawned`` at construction
+    _base: int = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._base = self.seed_sequence.n_children_spawned
 
     @classmethod
     def from_seed(cls, seed: SeedLike = None) -> "RngFactory":
         return cls(make_seed_sequence(seed))
 
     def spawn_sequence(self) -> np.random.SeedSequence:
-        """Return the next independent child seed sequence."""
-        child = self.seed_sequence.spawn(self._spawned + 1)[self._spawned]
+        """Return the next independent child seed sequence.
+
+        The k-th child (from 0) is ``seed_sequence.spawn(k + 1)[k]`` as
+        if each earlier child had been taken the same way: k + 1 spawns
+        of 1, 2, ..., k + 1 children put it at spawn index
+        ``c + k(k + 3)/2``, with ``c`` the sequence's
+        ``n_children_spawned`` when the factory was built. That one child
+        is built directly, at O(1) cost instead of k + 1 sequences.
+        """
+        parent = self.seed_sequence
+        k = self._spawned
+        child = type(parent)(
+            parent.entropy,
+            spawn_key=parent.spawn_key + (self._base + k * (k + 3) // 2,),
+            pool_size=parent.pool_size,
+        )
         self._spawned += 1
         return child
 

@@ -281,20 +281,29 @@ class SynchronousEngine:
                     f"{choices.shape} probes for {active_ids.shape} players"
                 )
 
+            # Each mask is counted once, and the count picks the path: a
+            # round where every active player probes (an explore round
+            # over a non-empty pool, or an advice round whose advisors
+            # all voted) takes active_ids and choices as they are.
             probing = choices >= 0
-            probers = active_ids[probing]
-            targets = choices[probing]
-            if targets.size and (targets >= inst.m).any():
+            n_probing = int(np.count_nonzero(probing))
+            if n_probing == active_ids.size:
+                probers, targets = active_ids, choices
+            else:
+                probers, targets = active_ids[probing], choices[probing]
+            if n_probing and targets.max() >= inst.m:
                 raise SimulationError(
                     f"strategy {self.strategy.name!r} probed an unknown object"
                 )
 
-            if probers.size:
+            if n_probing:
                 if obs is not None:
-                    count_probes(int(probers.size))
+                    count_probes(n_probing)
                 values = value_model.observe_many(probers, targets)
-                probes[probers] += 1
-                paid[probers] += self._probe_costs(round_no, targets, costs)
+                # probers are unique, so np.add.at adds exactly what a
+                # fancy ``+=`` would, without its gather-and-scatter
+                np.add.at(probes, probers, 1)
+                np.add.at(paid, probers, self._probe_costs(round_no, targets, costs))
                 if self.trace is not None:
                     self.trace.record(
                         round_no,
@@ -304,54 +313,67 @@ class SynchronousEngine:
                         values=values.tolist(),
                     )
 
-                newly_good = good_mask[targets] & (satisfied_round[probers] < 0)
-                satisfied_round[probers[newly_good]] = round_no
+                hit = probers[good_mask[targets]]
+                satisfied_round[hit[satisfied_round[hit] < 0]] = round_no
 
                 vote_mask, halt_mask = self.strategy.handle_results(
                     round_no, probers, targets, values
                 )
+                # one mask object for both (the local-testing rule's
+                # ``good, good``) makes the halters the voters
+                halt_is_vote = vote_mask is halt_mask
                 vote_mask = np.asarray(vote_mask, dtype=bool)
-                halt_mask = np.asarray(halt_mask, dtype=bool)
+                halt_mask = (
+                    vote_mask if halt_is_vote
+                    else np.asarray(halt_mask, dtype=bool)
+                )
 
-                if vote_mask.any():
+                n_votes = int(np.count_nonzero(vote_mask))
+                voters = probers[vote_mask] if n_votes else probers[:0]
+                if n_votes:
                     if obs is not None:
-                        count_votes(int(np.count_nonzero(vote_mask)))
+                        count_votes(n_votes)
                     self._post_honest(
                         round_no,
-                        probers[vote_mask],
+                        voters,
                         targets[vote_mask],
                         values[vote_mask],
                         PostKind.VOTE,
                         faults,
                     )
-                if self.config.record_reports:
-                    report_mask = ~vote_mask
-                    if report_mask.any():
-                        self._post_honest(
-                            round_no,
+                if self.config.record_reports and n_votes < n_probing:
+                    if n_votes:
+                        report_mask = ~vote_mask
+                        reported = (
                             probers[report_mask],
                             targets[report_mask],
                             values[report_mask],
-                            PostKind.REPORT,
-                            faults,
                         )
+                    else:
+                        reported = probers, targets, values
+                    self._post_honest(
+                        round_no, *reported, PostKind.REPORT, faults
+                    )
 
-                halters = probers[halt_mask]
-                if obs is not None and halters.size:
-                    count_halts(int(halters.size))
+                halters = voters if halt_is_vote else probers[halt_mask]
                 if halters.size:
+                    if obs is not None:
+                        count_halts(int(halters.size))
                     # halters probed this round, so they are active —
                     # never pending a restart; probers are active_ids at
-                    # the probing positions, so a keep-mask drops them
-                    # in place and the ids stay sorted
-                    keep = np.ones(active_ids.size, dtype=bool)
-                    keep[probing] = ~halt_mask
-                    active_ids = active_ids[keep]
-                halted_round[halters] = round_no
-                if self.trace is not None and halters.size:
-                    self.trace.record(
-                        round_no, "halt", players=halters.tolist()
-                    )
+                    # the probing positions, so dropping them by mask
+                    # keeps the ids sorted
+                    if probers is active_ids:
+                        active_ids = active_ids[~halt_mask]
+                    else:
+                        keep = np.ones(active_ids.size, dtype=bool)
+                        keep[probing] = ~halt_mask
+                        active_ids = active_ids[keep]
+                    halted_round[halters] = round_no
+                    if self.trace is not None:
+                        self.trace.record(
+                            round_no, "halt", players=halters.tolist()
+                        )
 
             if self.adversary is not None:
                 self._adversary_turn(round_no)

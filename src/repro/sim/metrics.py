@@ -123,11 +123,12 @@ class RunMetrics:
 
     def summary(self) -> Dict[str, float]:
         """Compact dictionary used by the trial runner."""
+        termination_rounds = self.honest_termination_rounds
         return {
             "rounds": float(self.rounds),
             "mean_individual_probes": self.mean_individual_probes,
-            "mean_individual_rounds": self.mean_individual_rounds,
-            "max_individual_rounds": float(self.max_individual_rounds),
+            "mean_individual_rounds": float(termination_rounds.mean()),
+            "max_individual_rounds": float(termination_rounds.max()),
             "mean_individual_paid": self.mean_individual_paid,
             "satisfied_fraction": self.satisfied_fraction,
             "all_honest_satisfied": float(self.all_honest_satisfied),

@@ -54,7 +54,7 @@ class AdviceAlternator:
         if pool.size == 0:
             return np.full(active_count, -1, dtype=np.int64)
         picks = rng.integers(pool.size, size=active_count)
-        return pool[picks].astype(np.int64)
+        return pool[picks].astype(np.int64, copy=False)
 
     def advise(
         self,
@@ -66,4 +66,4 @@ class AdviceAlternator:
         current vote; players whose advisor has no vote idle (``-1``)."""
         votes = view.current_vote_array()
         advisors = rng.integers(self.n_players, size=active_count)
-        return votes[advisors].astype(np.int64)
+        return votes[advisors].astype(np.int64, copy=False)

@@ -210,6 +210,37 @@ class TestKnobTrio:
         assert [v.code for v in violations] == ["RPL012"]
         assert "default_*/resolve_* reader" in violations[0].message
 
+    def test_argparse_default_is_not_a_reader(self, tmp_path, monkeypatch):
+        # an env read in an argparse ``default=`` is not the reader leg:
+        # only a default_*/resolve_*/set_default_* function counts
+        cli = """\
+        import argparse
+        import os
+
+        JOBS_ENV_VAR = "REPRO_FIX_JOBS"
+
+
+        def build_parser():
+            parser = argparse.ArgumentParser()
+            parser.add_argument(
+                "--jobs",
+                default=os.environ.get("REPRO_FIX_JOBS", "1"),
+                help="worker count (overrides REPRO_FIX_JOBS)",
+            )
+            return parser
+        """
+        violations = run_lint(
+            tmp_path,
+            monkeypatch,
+            {"pkg/cli.py": cli, "docs/configuration.md": KNOB_DOC},
+            select=["RPL012"],
+        )
+        assert [v.code for v in violations] == ["RPL012"]
+        message = violations[0].message
+        assert "REPRO_FIX_JOBS" in message
+        assert "default_*/resolve_* reader" in message
+        assert "CLI flag" not in message  # the flag leg IS present
+
     def test_bare_env_var_needs_docs(self, tmp_path, monkeypatch):
         worker = """\
         import os

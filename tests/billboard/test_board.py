@@ -73,6 +73,45 @@ class TestAppend:
         assert len(board) == 2
 
 
+class TestPostBlockValidation:
+    """A block is checked whole: a bad id anywhere raises that entry's
+    error, the first bad entry's, and nothing lands."""
+
+    @pytest.mark.parametrize("cls", [Billboard, ColumnarBoard])
+    @pytest.mark.parametrize(
+        "players,objects,message",
+        [
+            ([0, 3, 8, 2], [1, 1, 1, 1], "unknown player identity 8 (n=8)"),
+            ([0, 3, -1, 9], [1, 1, 1, 1], "unknown player identity -1 (n=8)"),
+            ([0, 3, -1], [1, 1, 1], "unknown player identity -1 (n=8)"),
+            ([0, 3, 5], [1, -4, 16], "unknown object -4 (m=16)"),
+            ([0, 3, 5], [1, -4, 2], "unknown object -4 (m=16)"),
+            ([0, 3, 5], [1, 2, 16], "unknown object 16 (m=16)"),
+            # an entry's player is checked before its object
+            ([0, 9, 5], [1, 16, 1], "unknown player identity 9 (n=8)"),
+        ],
+    )
+    def test_first_bad_entry_raises(self, cls, players, objects, message):
+        board = cls(8, 16)
+        board.post_block(0, np.array([1]), np.array([2]), np.ones(1), PostKind.VOTE)
+        with pytest.raises(InvalidPostError) as err:
+            board.post_block(
+                1, np.array(players), np.array(objects),
+                np.ones(len(players)), PostKind.VOTE,
+            )
+        assert str(err.value) == message
+        assert len(board) == 1
+        assert board.current_vote_array().tolist() == [-1, 2] + [-1] * 6
+
+    @pytest.mark.parametrize("cls", [Billboard, ColumnarBoard])
+    def test_ids_at_the_bounds_pass(self, cls):
+        board = cls(8, 16)
+        board.post_block(
+            0, np.array([0, 7]), np.array([15, 0]), np.ones(2), PostKind.REPORT
+        )
+        assert [(p.player, p.object_id) for p in board] == [(0, 15), (7, 0)]
+
+
 class TestReading:
     def test_len_counts_all_posts(self, board):
         for r in range(3):

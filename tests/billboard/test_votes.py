@@ -219,6 +219,25 @@ class _ReferenceLedger:
         return mine[0] if self.mode is VoteMode.MULTI else mine[-1]
 
 
+def _draw_block(rng, n, kind):
+    """Two to five voters whose ids strictly increase, repeat a player,
+    or come in some other order (distinct, not increasing)."""
+    size = int(rng.integers(2, 6))
+    if kind == "increasing":
+        return np.sort(rng.choice(n, size, replace=False))
+    if kind == "repeated":
+        players = rng.choice(n, size - 1, replace=False)
+        return np.insert(players, rng.integers(0, size), rng.choice(players))
+    players = rng.choice(n, size, replace=False)
+    return players[::-1] if (np.diff(players) > 0).all() else players
+
+
+def _block_kind(players):
+    if np.unique(players).size < players.size:
+        return "repeated"
+    return "increasing" if (np.diff(players) > 0).all() else "other"
+
+
 class TestAgainstReference:
     """One interleaved random stream through ``record`` and through
     ``record_block``: both follow the plain-Python rules."""
@@ -229,15 +248,18 @@ class TestAgainstReference:
     )
     def test_record_and_record_block_follow_the_rules(self, mode, f):
         rng = np.random.default_rng(16)
-        n, m = 12, 6
+        n, m = 64, 6
         per_post = VoteLedger(n, m, mode=mode, max_votes_per_player=f)
         blocked = VoteLedger(n, m, mode=mode, max_votes_per_player=f)
         reference = _ReferenceLedger(mode, f)
+        kinds = ("increasing", "repeated", "other")
+        # block kind -> how many such blocks had every vote effective,
+        # and how many had some vote that did not count
+        seen = {kind: [0, 0] for kind in kinds}
         round_no = 0
         for _block in range(60):
-            size = int(rng.integers(1, 6))
-            players = rng.integers(0, n, size=size)
-            objects = rng.integers(0, m, size=size)
+            players = _draw_block(rng, n, kinds[int(rng.integers(0, 3))])
+            objects = rng.integers(0, m, size=players.size)
             expected = [
                 reference.record(round_no, int(p), int(o))
                 for p, o in zip(players, objects)
@@ -248,11 +270,17 @@ class TestAgainstReference:
             ] == expected
             mask = blocked.record_block(round_no, players, objects)
             assert mask.tolist() == expected
+            seen[_block_kind(players)][0 if all(expected) else 1] += 1
             round_no += int(rng.integers(0, 2))
             for horizon in (None, round_no, max(round_no - 3, 0)):
                 want = [reference.current(p, horizon) for p in range(n)]
                 for ledger in (per_post, blocked):
                     assert ledger.current_vote_array(horizon).tolist() == want
+        # every block order occurred, strictly increasing ones both with
+        # every vote effective and with some vote not counted (a repeat
+        # always carries an ineffective vote)
+        assert all(sum(counts) for counts in seen.values()), seen
+        assert min(seen["increasing"]) > 0, seen
         # the stream reached every rule of its mode
         assert reference.rejected == {
             VoteMode.SINGLE: {"cap"},

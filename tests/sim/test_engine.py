@@ -5,7 +5,10 @@ import pytest
 
 from repro.adversaries.base import Adversary
 from repro.adversaries.batched import PerLaneAdversary
+from repro.billboard.board import Billboard
 from repro.billboard.post import PostBlock, PostKind
+from repro.billboard.views import BillboardView
+from repro.core.distill import DistillStrategy
 from repro.errors import (
     AdversaryViolationError,
     BudgetExceededError,
@@ -14,7 +17,7 @@ from repro.errors import (
 from repro.sim.async_engine import AsyncStrategy, AsynchronousEngine
 from repro.sim.batch_engine import BatchedEngine
 from repro.sim.engine import EngineConfig, SynchronousEngine
-from repro.strategies.base import Strategy
+from repro.strategies.base import Strategy, StrategyContext
 from repro.strategies.batched import PerLaneStrategy
 from repro.world.generators import explicit_instance
 
@@ -351,3 +354,216 @@ class TestLenientPartialMetrics:
         assert metrics.halted_round[1] == -1
         assert not metrics.all_honest_satisfied
         assert metrics.satisfied_fraction == 0.5
+
+
+def reference_run(inst, strategy, rng, adversary=None, adversary_rng=None,
+                  record_reports=False, max_rounds=500):
+    """The round of :mod:`repro.sim.engine`'s docstring, one player at a
+    time: each probe is accounted for alone and each post is appended
+    alone, through the board's one-row write. Returns the engine's
+    per-player arrays, the round count and the board."""
+    n = inst.n
+    space = inst.space
+    board = Billboard(n, inst.m)
+    probes, paid = [0] * n, [0.0] * n
+    satisfied, halted = [-1] * n, [-1] * n
+    active = inst.honest_ids.tolist()
+    strategy.reset(
+        StrategyContext(n=n, m=inst.m, alpha=inst.alpha, beta=inst.beta,
+                        good_threshold=space.good_threshold),
+        rng,
+    )
+    if adversary is not None:
+        adversary.reset(inst, adversary_rng)
+    round_no = 0
+    while active and round_no < max_rounds:
+        view = BillboardView(board, before_round=round_no)
+        choices = strategy.choose_probes(
+            round_no, np.array(active, dtype=np.int64), view
+        )
+        probed = [(p, int(c)) for p, c in zip(active, choices) if c >= 0]
+        for player, obj in probed:
+            probes[player] += 1
+            paid[player] += float(space.costs[obj])
+            if space.good_mask[obj] and satisfied[player] < 0:
+                satisfied[player] = round_no
+        if probed:
+            players = np.array([p for p, _ in probed], dtype=np.int64)
+            objects = np.array([o for _, o in probed], dtype=np.int64)
+            values = space.values[objects]
+            vote, halt = strategy.handle_results(
+                round_no, players, objects, values
+            )
+            posts = [
+                (PostKind.VOTE, i) for i in range(len(probed)) if vote[i]
+            ]
+            if record_reports:
+                posts += [
+                    (PostKind.REPORT, i)
+                    for i in range(len(probed))
+                    if not vote[i]
+                ]
+            for kind, i in posts:
+                board.append(round_no, probed[i][0], probed[i][1],
+                             values[i], kind)
+            halters = {probed[i][0] for i in range(len(probed)) if halt[i]}
+            for player in halters:
+                halted[player] = round_no
+            active = [p for p in active if p not in halters]
+        if adversary is not None:
+            block = adversary.act(round_no, BillboardView(board, None))
+            if block is not None:
+                for player, obj, value in zip(*block[:3]):
+                    board.append(round_no, int(player), int(obj),
+                                 float(value), block.kind)
+        round_no += 1
+    return probes, paid, satisfied, halted, round_no, board
+
+
+class ScriptedMixStrategy(Strategy):
+    """Cycles through four round shapes so that every fast path of the
+    engine's round runs, and logs each round's shape:
+
+    0. every active player probes; ``good, good`` (one mask object);
+    1. some players idle; every prober votes, nobody halts;
+    2. every active player probes; nobody votes, good probes halt;
+    3. some players idle; votes (some for bad objects) and halts
+       differ, from coin flips.
+    """
+
+    name = "scripted-mix"
+
+    def reset(self, ctx, rng):
+        super().reset(ctx, rng)
+        self.log = []
+
+    def choose_probes(self, round_no, active_players, view):
+        picks = self.rng.integers(0, self.ctx.m, size=active_players.size)
+        if round_no % 2 == 1:
+            idle = self.rng.random(active_players.size) < 0.4
+            picks[idle] = -1
+        return picks
+
+    def handle_results(self, round_no, players, objects, values):
+        good = values >= self.ctx.good_threshold
+        shape = round_no % 4
+        if shape == 0:
+            vote = halt = good
+        elif shape == 1:
+            vote, halt = np.ones(players.size, bool), np.zeros(players.size, bool)
+        elif shape == 2:
+            vote, halt = np.zeros(players.size, bool), good.copy()
+        else:
+            coins = self.rng.random((2, players.size))
+            vote, halt = good | (coins[0] < 0.3), good & (coins[1] < 0.8)
+        self.log.append((shape, int(np.count_nonzero(vote)),
+                         int(np.count_nonzero(halt)), int(players.size),
+                         bool((vote != halt).any())))
+        return vote, halt
+
+
+class LoggingDistill(DistillStrategy):
+    """DISTILL, logging each advice round's active and probing counts."""
+
+    def reset(self, ctx, rng):
+        super().reset(ctx, rng)
+        self.advice = []
+
+    def choose_probes(self, round_no, active_players, view):
+        choices = super().choose_probes(round_no, active_players, view)
+        if self.tracker.is_advice_round(round_no):
+            self.advice.append(
+                (active_players.size, int(np.count_nonzero(choices >= 0)))
+            )
+        return choices
+
+
+def _assert_matches_reference(engine, metrics, reference):
+    probes, paid, satisfied, halted, rounds, board = reference
+    assert metrics.rounds == rounds
+    assert metrics.probes.tolist() == probes
+    assert metrics.paid.tolist() == paid  # bit for bit
+    assert metrics.satisfied_round.tolist() == satisfied
+    assert metrics.halted_round.tolist() == halted
+    assert engine.board.posts() == board.posts()
+    assert engine.board.head_digest == board.head_digest
+
+
+class TestRoundAgainstReference:
+    """The engine's round against :func:`reference_run`, over strategies
+    whose rounds take every fast path: all or some players probing, one
+    mask object or two for votes and halts, every prober or none voting
+    with reports recorded, and halters dropped from a full or a partial
+    prober set."""
+
+    @staticmethod
+    def _mixed_instance(seed):
+        rng = np.random.default_rng(seed)
+        m = 16
+        good = np.zeros(m, dtype=bool)
+        good[rng.choice(m, 2, replace=False)] = True
+        return explicit_instance(
+            values=np.where(good, 1.0, 0.0),
+            good_mask=good,
+            honest_mask=rng.random(40) < 0.7,
+            costs=rng.uniform(0.1, 3.0, m),  # paid sums non-unit costs
+            good_threshold=0.5,
+        )
+
+    @pytest.mark.parametrize("record_reports", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_scripted_mix_matches_reference(self, seed, record_reports):
+        inst = self._mixed_instance(seed)
+        strategy = ScriptedMixStrategy()
+        engine = SynchronousEngine(
+            inst, strategy, rng=np.random.default_rng(seed),
+            config=EngineConfig(record_reports=record_reports),
+        )
+        metrics = engine.run()
+        log = strategy.log
+        reference = reference_run(
+            inst, ScriptedMixStrategy(), np.random.default_rng(seed),
+            record_reports=record_reports,
+        )
+        _assert_matches_reference(engine, metrics, reference)
+        assert metrics.all_honest_satisfied
+        shapes = {shape for shape, *_ in log}
+        assert shapes == {0, 1, 2, 3}
+        # every prober voted (shape 1) and nobody voted (shape 2), with
+        # halts from one shared mask, from a full prober set (shape 2) and
+        # from a partial one whose halters are not its voters (shape 3)
+        assert any(votes == size for shape, votes, _h, size, _d in log if shape == 1)
+        assert any(halts for shape, _v, halts, _s, _d in log if shape == 0)
+        assert any(halts for shape, _v, halts, _s, _d in log if shape == 2)
+        assert any(
+            halts and differ for shape, _v, halts, _s, differ in log
+            if shape == 3
+        )
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_distill_with_idle_advice_matches_reference(self, seed):
+        from repro.adversaries.split_vote import SplitVoteAdversary
+        from repro.world.generators import planted_instance
+
+        inst = planted_instance(
+            n=64, m=64, beta=1 / 16, alpha=0.75,
+            rng=np.random.default_rng(seed),
+        )
+        strategy = LoggingDistill()
+        engine = SynchronousEngine(
+            inst, strategy, adversary=SplitVoteAdversary(),
+            rng=np.random.default_rng(seed),
+            adversary_rng=np.random.default_rng([seed, 1]),
+            config=EngineConfig(record_reports=True),
+        )
+        metrics = engine.run()
+        reference = reference_run(
+            inst, LoggingDistill(), np.random.default_rng(seed),
+            adversary=SplitVoteAdversary(),
+            adversary_rng=np.random.default_rng([seed, 1]),
+            record_reports=True,
+        )
+        _assert_matches_reference(engine, metrics, reference)
+        # advice rounds in which some advisors had no vote, so only part
+        # of the active players probed
+        assert any(0 < probing < active for active, probing in strategy.advice)

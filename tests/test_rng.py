@@ -1,6 +1,7 @@
 """Tests for randomness plumbing."""
 
 import numpy as np
+import pytest
 
 from repro.rng import (
     RngFactory,
@@ -56,6 +57,57 @@ class TestFactory:
 
         a, b = streams(11), streams(11)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def _spawned_one_by_one(seq, count):
+    """``RngFactory``'s children by their spawn-based definition: the
+    k-th is ``seq.spawn(k + 1)[k]``."""
+    return [seq.spawn(k + 1)[k] for k in range(count)]
+
+
+class CountingSeedSequence(np.random.SeedSequence):
+    """A SeedSequence that counts the sequences built through it."""
+
+    built = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).built += 1
+        super().__init__(*args, **kwargs)
+
+
+class TestDirectChildren:
+    @pytest.mark.parametrize("already_spawned", [0, 3])
+    def test_children_equal_the_spawn_formula(self, already_spawned):
+        seq, ref = np.random.SeedSequence(2024), np.random.SeedSequence(2024)
+        for s in (seq, ref):
+            s.spawn(already_spawned)
+        factory = RngFactory(seq)
+        got = [factory.spawn_sequence() for _ in range(64)]
+        want = _spawned_one_by_one(ref, 64)
+        for child, expected in zip(got, want):
+            assert child.spawn_key == expected.spawn_key
+            assert np.array_equal(
+                child.generate_state(8), expected.generate_state(8)
+            )
+        # the factory spawns nothing from the sequence it wraps
+        assert seq.n_children_spawned == already_spawned
+
+    def test_one_sequence_built_per_child(self):
+        CountingSeedSequence.built = 0
+        factory = RngFactory(CountingSeedSequence(5))
+        children = list(factory.trial_factories(64))
+        assert all(
+            isinstance(c.seed_sequence, CountingSeedSequence) for c in children
+        )
+        # the root plus one per child; taking the k-th child through
+        # ``spawn(k + 1)`` would build 1 + 64 * 65 / 2
+        assert CountingSeedSequence.built == 1 + 64
+
+    def test_two_factories_over_one_sequence_agree(self):
+        seq = np.random.SeedSequence(9)
+        a = RngFactory(seq).spawn_generator().random(4)
+        b = RngFactory(seq).spawn_generator().random(4)
+        assert np.array_equal(a, b)
 
 
 class TestChoiceOrNone:
