@@ -168,13 +168,18 @@ class VoteLedger:
         # Current advice target per player; -1 means "no vote yet".
         self._current_vote = np.full(n_players, -1, dtype=np.int64)
 
-        # Effective-vote tally per player (vectorized votes_cast_by).
-        self._vote_counts = np.zeros(n_players, dtype=np.int64)
+        # Effective-vote tally per player (MULTI's cap, votes_cast_by).
+        # SINGLE keeps none: there it always equals _current_vote >= 0.
+        self._vote_counts: Optional[np.ndarray] = (
+            None
+            if mode is VoteMode.SINGLE
+            else np.zeros(n_players, dtype=np.int64)
+        )
 
         # MULTI only: each player's effective targets, one row of f
         # slots per player filled left to right (the tally says how many
-        # are set), for the distinct-object check. SINGLE needs only the
-        # tally, MUTABLE only the current vote.
+        # are set), for the distinct-object check. SINGLE and MUTABLE
+        # need only the current vote.
         self._targets: Optional[np.ndarray] = (
             np.zeros((n_players, max_votes_per_player), dtype=np.int64)
             if mode is VoteMode.MULTI
@@ -203,13 +208,17 @@ class VoteLedger:
         return self._record_one(post.round_no, post.player, post.object_id)
 
     def _record_one(self, round_no: int, player: int, obj: int) -> bool:
+        counts = self._vote_counts
         if self.mode is VoteMode.MUTABLE:
             # Latest vote is current; a repeat of the same object is a
             # no-op for the current pointer but does not add a new entry.
             if self._current_vote[player] == obj:
                 return False
+        elif counts is None:
+            if self._current_vote[player] >= 0:
+                return False  # SINGLE: only the first vote counts
         else:
-            count = int(self._vote_counts[player])
+            count = int(counts[player])
             if count >= self.max_votes_per_player:
                 return False  # excess votes are ignored by readers
             if self._targets is not None:
@@ -221,7 +230,8 @@ class VoteLedger:
         self._players.append(player)
         self._objects.append(obj)
         self._current_vote[player] = obj
-        self._vote_counts[player] += 1
+        if counts is not None:
+            counts[player] += 1
         self._memo.clear()
         return True
 
@@ -280,7 +290,6 @@ class VoteLedger:
             self._players.extend(eff_players)
             self._objects.extend(eff_objects)
             self._current_vote[eff_players] = eff_objects
-            self._vote_counts[eff_players] += 1
             self._memo.clear()
         return effective
 
@@ -418,6 +427,8 @@ class VoteLedger:
         ids = np.asarray(players, dtype=np.int64)
         if ids.size == 0:
             return 0
+        if self._vote_counts is None:  # SINGLE: at most one vote each
+            return int(np.count_nonzero(self._current_vote[ids] >= 0))
         return int(self._vote_counts[ids].sum())
 
     # ------------------------------------------------------------------

@@ -4,9 +4,8 @@ The paper proves its guarantees against an adaptive Byzantine adversary
 but assumes perfect *infrastructure*: a reliable billboard and honest
 players that never fail. This package weakens those assumptions in a
 controlled, reproducible way so the reproduction can measure how the
-bounds degrade under message loss, churn, and noisy observations
-(experiment E15), and so the Monte-Carlo harness itself can be tested
-against misbehaving workers.
+bounds degrade under post loss and churn on the synchronous engines
+(experiment E15).
 
 Usage::
 

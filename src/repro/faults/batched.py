@@ -10,14 +10,13 @@ each bound to that lane's pinned *fourth* per-trial rng stream.
 Equivalence contract, mirroring the batched strategy/adversary layers:
 for each lane the fault *decisions* are drawn through the scalar
 injector's own code — the same streams, consumed in the scalar engine's
-exact per-round order (delivery → restarts → crashes → post filtering →
-observation noise) — so a lane's fault realization is bit-identical to
-a scalar run of the same trial. What is batched is the *state
-application*: crashes and restarts land on the engine's ``(K, n)``
-``active``/``down_until``/``halted_round`` arrays as single
-fancy-indexed scatters across all lanes, and post filtering stays
-array-native end to end
-(:meth:`~repro.faults.injector.FaultInjector.filter_post_arrays` into
+exact per-round order (restarts → crashes → post filtering) — so a
+lane's fault realization is bit-identical to a scalar run of the same
+trial. What is batched is the *state application*: crashes and restarts
+land on the engine's ``(K, n)`` ``active``/``down_until``/``halted_round``
+arrays as single fancy-indexed scatters across all lanes, and post
+filtering stays array-native end to end
+(:meth:`~repro.faults.injector.FaultInjector.keep_mask` into
 :meth:`~repro.billboard.columnar.ColumnarBoard.post_block`).
 
 Because each lane carries its own injector, lanes of one batch may run
@@ -27,17 +26,14 @@ loop serves many experiment cells of a sweep.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan
-from repro.world.valuemodel import ValueModel
 
 if TYPE_CHECKING:  # imported lazily to avoid a package-level cycle
-    from repro.billboard.lanes import LaneBillboard
     from repro.strategies.batched import BatchedStrategy
 
 
@@ -62,37 +58,7 @@ class BatchedFaultInjector:
         self._injectors: List[Optional[FaultInjector]] = list(injectors)
         self.n_lanes = len(self._injectors)
 
-    @classmethod
-    def from_plans(
-        cls,
-        plans: Sequence[Optional[FaultPlan]],
-        rngs: Sequence[np.random.Generator],
-    ) -> "BatchedFaultInjector":
-        """Build per-lane injectors from per-lane plans and fault rngs.
-
-        ``None`` and null plans produce fault-free lanes (no injector —
-        the lane's spare stream stays untouched, like the scalar path).
-        """
-        if len(plans) != len(rngs):
-            raise ConfigurationError(
-                f"got {len(plans)} plans for {len(rngs)} fault streams"
-            )
-        return cls(
-            [
-                (
-                    FaultInjector(plan, rng)
-                    if plan is not None and not plan.is_null()
-                    else None
-                )
-                for plan, rng in zip(plans, rngs)
-            ]
-        )
-
     # ------------------------------------------------------------------
-    def lane(self, lane: int) -> Optional[FaultInjector]:
-        """Lane ``lane``'s scalar injector (``None``: fault-free lane)."""
-        return self._injectors[lane]
-
     def reset(self) -> None:
         """Clear per-run state on every lane (engine calls at run start)."""
         for injector in self._injectors:
@@ -100,24 +66,7 @@ class BatchedFaultInjector:
                 injector.reset()
 
     # ------------------------------------------------------------------
-    # Observation noise
-    # ------------------------------------------------------------------
-    def wrap_value_models(
-        self, models: Sequence[ValueModel]
-    ) -> List[ValueModel]:
-        """Per-lane :meth:`FaultInjector.wrap_value_model` (noise-free
-        lanes pass through untouched)."""
-        if len(models) != self.n_lanes:
-            raise ConfigurationError(
-                f"got {len(models)} value models for {self.n_lanes} lanes"
-            )
-        return [
-            injector.wrap_value_model(model) if injector is not None else model
-            for injector, model in zip(self._injectors, models)
-        ]
-
-    # ------------------------------------------------------------------
-    # Round start: delayed deliveries + restarts
+    # Round start: restarts
     # ------------------------------------------------------------------
     def round_start(
         self,
@@ -125,25 +74,15 @@ class BatchedFaultInjector:
         alive: np.ndarray,
         active: np.ndarray,
         down_until: np.ndarray,
-        boards: "LaneBillboard",
         strategy: "BatchedStrategy",
     ) -> None:
-        """Round-start fault effects for every still-alive lane.
+        """Round-start fault effect for every still-alive lane.
 
-        Delayed posts due this round land on their lane boards (entry
-        order preserved), then every player whose downtime has elapsed
-        rejoins: one ``(K, n)`` masked scatter flips
-        ``down_until``/``active``, and the strategy is notified per lane
-        in lane order — the scalar engine's
-        ``_fault_round_start`` semantics, lane by lane.
+        Every player whose downtime has elapsed rejoins: one ``(K, n)``
+        masked scatter flips ``down_until``/``active``, and the strategy
+        is notified per lane in lane order — the scalar engine's restart
+        semantics, lane by lane.
         """
-        for k in np.flatnonzero(alive):
-            injector = self._injectors[int(k)]
-            if injector is None:
-                continue
-            due = injector.due_posts(round_no)
-            if due:
-                boards.lane(int(k)).append_many(round_no, due)
         due_mask = down_until == round_no
         due_mask[~alive, :] = False
         if not due_mask.any():
@@ -216,23 +155,22 @@ class BatchedFaultInjector:
     def filter_block(
         self,
         lane: int,
-        round_no: int,
         players: np.ndarray,
         objects: np.ndarray,
         values: np.ndarray,
-        kind: Any,
-    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Filter one lane's same-kind post block; returns the delivered
-        sub-block (see :meth:`FaultInjector.filter_post_arrays`)."""
+        sub-block (see :meth:`FaultInjector.keep_mask`)."""
         injector = self._injectors[lane]
-        if injector is None:
-            return players, objects, values
-        return injector.filter_post_arrays(
-            round_no, players, objects, values, kind
+        keep = (
+            None if injector is None else injector.keep_mask(players.shape[0])
         )
+        if keep is None:
+            return players, objects, values
+        return players[keep], objects[keep], values[keep]
 
     # ------------------------------------------------------------------
-    def info(self, lane: int) -> Dict[str, Any]:
+    def info(self, lane: int) -> Dict[str, int]:
         """Lane ``lane``'s fault realization summary (``{}`` when the
         lane ran fault-free, matching the scalar engine)."""
         injector = self._injectors[lane]

@@ -12,18 +12,14 @@ The paper's model assumes a *reliable* billboard and immortal honest
 players; every knob here weakens one of those assumptions (see
 ``docs/robustness.md`` for the full fault model):
 
-* ``post_loss_rate`` / ``post_delay_rate`` — a lossy billboard: each
-  honest post is independently dropped, or delivered late with a fresh
-  (later) round stamp.
+* ``post_loss_rate`` — a lossy billboard: each honest post is
+  independently dropped.
 * ``crash_rate`` / ``restart_after`` — churn: an active honest player
   crashes with per-round probability ``crash_rate``; with
   ``restart_after=k`` it rejoins ``k`` rounds later with no local
   memory (it re-reads the billboard — the paper's shared board is what
   makes restarting meaningful), with ``restart_after=None`` it is gone
   for good.
-* ``observation_noise_rate`` / ``observation_noise`` — probe-observation
-  noise, injected through a wrapped
-  :class:`~repro.world.valuemodel.ValueModel`.
 """
 
 from __future__ import annotations
@@ -47,54 +43,24 @@ class FaultPlan:
     ----------
     post_loss_rate:
         Probability that an honest billboard post is dropped.
-    post_delay_rate:
-        Probability that an honest post (not already dropped) is delayed;
-        the delay is uniform on ``1..max_post_delay`` rounds (steps, on
-        the asynchronous engine) and the post lands with the *delivery*
-        round's stamp.
-    max_post_delay:
-        Largest possible delay, in rounds.
     crash_rate:
         Per-round probability that each still-active honest player
-        crashes (per scheduled step, on the asynchronous engine).
+        crashes.
     restart_after:
         Rounds a crashed player stays down before rejoining with no
         local memory; ``None`` means crashed players never return.
-    observation_noise_rate:
-        Probability that a probe's observed value is perturbed.
-    observation_noise:
-        Half-width of the uniform perturbation applied to noisy probes.
     """
 
     post_loss_rate: float = 0.0
-    post_delay_rate: float = 0.0
-    max_post_delay: int = 3
     crash_rate: float = 0.0
     restart_after: Optional[int] = None
-    observation_noise_rate: float = 0.0
-    observation_noise: float = 0.1
 
     def __post_init__(self) -> None:
         _check_rate("post_loss_rate", self.post_loss_rate)
-        _check_rate("post_delay_rate", self.post_delay_rate)
         _check_rate("crash_rate", self.crash_rate)
-        _check_rate("observation_noise_rate", self.observation_noise_rate)
-        if self.post_loss_rate + self.post_delay_rate > 1.0:
-            raise ConfigurationError(
-                "post_loss_rate + post_delay_rate must not exceed 1, got "
-                f"{self.post_loss_rate} + {self.post_delay_rate}"
-            )
-        if self.max_post_delay < 1:
-            raise ConfigurationError(
-                f"max_post_delay must be >= 1, got {self.max_post_delay}"
-            )
         if self.restart_after is not None and self.restart_after < 1:
             raise ConfigurationError(
                 f"restart_after must be >= 1 or None, got {self.restart_after}"
-            )
-        if self.observation_noise < 0:
-            raise ConfigurationError(
-                f"observation_noise must be >= 0, got {self.observation_noise}"
             )
 
     def is_null(self) -> bool:
@@ -104,9 +70,4 @@ class FaultPlan:
         null plan must produce exactly the byte-for-byte output of a run
         with no fault layer at all.
         """
-        return (
-            self.post_loss_rate == 0.0
-            and self.post_delay_rate == 0.0
-            and self.crash_rate == 0.0
-            and self.observation_noise_rate == 0.0
-        )
+        return self.post_loss_rate == 0.0 and self.crash_rate == 0.0

@@ -43,7 +43,6 @@ DECLARED_COUNTERS: FrozenSet[str] = frozenset(
         "batch.rounds",
         "batch.runs",
         "billboard.posts_adversary",
-        "billboard.posts_fault_delivered",
         "billboard.posts_honest",
         "engine.halts",
         "engine.probes",
@@ -53,10 +52,8 @@ DECLARED_COUNTERS: FrozenSet[str] = frozenset(
         "exec.retries",
         "exec.worker_lost",
         "faults.crashes",
-        "faults.delayed_posts",
         "faults.dropped_posts",
         "faults.restarts",
-        "faults.undelivered_posts",
         "runner.chunks",
         "runner.grid_cells",
         "runner.grid_groups",

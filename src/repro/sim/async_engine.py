@@ -20,8 +20,7 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 import numpy as np
 
-if TYPE_CHECKING:  # type-only: avoids importing faults at module load
-    from repro.faults.injector import FaultInjector
+if TYPE_CHECKING:  # type-only import
     from repro.obs.registry import Registry
 
 from repro.adversaries.base import Adversary, check_block
@@ -68,11 +67,6 @@ class AsyncStrategy:
     def info(self) -> Dict[str, Any]:
         return {}
 
-    def on_player_restart(self, step_no: int, player: int) -> None:
-        """Fault-injection hook: ``player`` returns from a crash with no
-        local memory. Default no-op — per-step strategies are
-        billboard-driven, so a restarted player just re-reads the board."""
-
 
 class PerStepAdapter(AsyncStrategy):
     """Port a memoryless cohort :class:`Strategy` to the async engine.
@@ -117,7 +111,6 @@ class AsyncRunMetrics:
     steps: int
     all_honest_satisfied: bool
     strategy_info: Dict[str, Any] = field(default_factory=dict)
-    fault_info: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def honest_probes(self) -> np.ndarray:
@@ -156,7 +149,6 @@ class AsynchronousEngine:
         max_steps: int = 10_000_000,
         strict: bool = True,
         vote_mode: VoteMode = VoteMode.SINGLE,
-        fault_injector: Optional["FaultInjector"] = None,
         obs: Optional["Registry"] = None,
     ) -> None:
         self.instance = instance
@@ -184,10 +176,6 @@ class AsynchronousEngine:
         )
         self.max_steps = max_steps
         self.strict = strict
-        #: optional infrastructure-fault layer; rates are interpreted
-        #: per basic *step* here (per round on the synchronous engine),
-        #: and ``restart_after`` counts steps
-        self.fault_injector = fault_injector
         #: optional event-counter registry (``async.*`` names; counters
         #: only — no clock reads in ``sim`` — and bit-inert)
         self.obs = obs
@@ -206,14 +194,6 @@ class AsynchronousEngine:
         satisfied_step = np.full(inst.n, -1, dtype=np.int64)
         active = inst.honest_mask.copy()
 
-        faults = self.fault_injector
-        value_model = self.value_model
-        #: step at which each crashed player restarts (-1: not down)
-        down_until = np.full(inst.n, -1, dtype=np.int64)
-        if faults is not None:
-            faults.reset()
-            value_model = faults.wrap_value_model(value_model)
-
         self.strategy.reset(self.ctx, self.rng)
         self.schedule.reset(inst.n, self.schedule_rng)
         if self.adversary is not None:
@@ -227,23 +207,9 @@ class AsynchronousEngine:
 
         step_no = 0
         while step_no < self.max_steps:
-            if faults is not None:
-                for entry in faults.due_posts(step_no):
-                    self.board.append(step_no, *entry)
-                restarts = np.flatnonzero(down_until == step_no)
-                if restarts.size:
-                    down_until[restarts] = -1
-                    active[restarts] = True
-                    faults.note_restarts(restarts)
-                    for player in restarts:
-                        self.strategy.on_player_restart(step_no, int(player))
             active_ids = np.flatnonzero(active)
             if active_ids.size == 0:
-                if not (down_until >= 0).any():
-                    break
-                # everyone is down awaiting restart; the step idles
-                step_no += 1
-                continue
+                break
             if obs is not None:
                 count_steps()
             player = self.schedule.next_player(step_no, active_ids)
@@ -252,20 +218,6 @@ class AsynchronousEngine:
                     f"schedule {self.schedule.name!r} picked inactive "
                     f"player {player}"
                 )
-            if faults is not None:
-                crashed = faults.crash_coins(
-                    step_no, np.array([player], dtype=np.int64)
-                )
-                if crashed.size:
-                    active[player] = False
-                    if faults.plan.restart_after is not None:
-                        down_until[player] = (
-                            step_no + faults.plan.restart_after
-                        )
-                    if self.adversary is not None:
-                        self._adversary_step(step_no)
-                    step_no += 1
-                    continue
             # async steps are atomic: the player sees everything so far
             view = BillboardView(self.board)
             target = self.strategy.step(step_no, player, view)
@@ -277,7 +229,7 @@ class AsynchronousEngine:
                     )
                 if obs is not None:
                     count_probes()
-                value = value_model.observe(player, target)
+                value = self.value_model.observe(player, target)
                 probes[player] += 1
                 if inst.space.good_mask[target] and satisfied_step[player] < 0:
                     satisfied_step[player] = step_no
@@ -287,18 +239,11 @@ class AsynchronousEngine:
                 if vote:
                     if obs is not None:
                         count_votes()
-                    entry = (player, target, value, PostKind.VOTE)
-                    if faults is None:
-                        delivered = [entry]
-                    else:
-                        delivered, _dropped, _delayed = faults.filter_posts(
-                            step_no, [entry]
-                        )
-                    for post in delivered:
-                        self.board.append(step_no, *post)
+                    self.board.append(
+                        step_no, player, target, value, PostKind.VOTE
+                    )
                 if halt:
                     active[player] = False
-                    down_until[player] = -1
             if self.adversary is not None:
                 self._adversary_step(step_no)
             step_no += 1
@@ -316,7 +261,6 @@ class AsynchronousEngine:
             steps=step_no,
             all_honest_satisfied=bool(sat_honest.all()),
             strategy_info=self.strategy.info(),
-            fault_info=faults.info() if faults is not None else {},
         )
 
     def _adversary_step(self, step_no: int) -> None:

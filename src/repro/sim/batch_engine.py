@@ -28,14 +28,14 @@ optimization only; it is never allowed to be a semantics change.
 Fault injection is batch-native: a
 :class:`~repro.faults.batched.BatchedFaultInjector` carries one scalar
 injector per lane (each on its pinned spare stream) and applies lossy
-and delayed posts, churn restarts, and observation noise with the same
-``(K, n)`` scatter discipline as the rest of the engine — in the scalar
-engine's exact per-round order, so faulted lanes stay bit-identical to
-faulted scalar runs. Lanes may carry *different* fault plans, which is
-what lets the runner pack whole sweep grids into one batch. The only
-remaining unsupported configuration is structured tracing (deeply
-per-trial); :func:`batch_fallback_reason` reports it so the runner can
-degrade to the scalar engine with a warning.
+posts and churn with the same ``(K, n)`` scatter discipline as the rest
+of the engine — in the scalar engine's exact per-round order, so
+faulted lanes stay bit-identical to faulted scalar runs. Lanes may
+carry *different* fault plans, which is what lets the runner pack
+whole sweep grids into one batch. The only remaining unsupported
+configuration is structured tracing (deeply per-trial);
+:func:`batch_fallback_reason` reports it so the runner can degrade to
+the scalar engine with a warning.
 """
 
 from __future__ import annotations
@@ -219,7 +219,6 @@ class BatchedEngine:
         rounds_out = np.zeros(K, dtype=np.int64)
 
         faults = self.faults
-        value_models = self.value_models
         if faults is not None:
             # Faulted lanes keep the (K, n) mask representation: the
             # batched injector scatters crashes/restarts into the shared
@@ -232,7 +231,6 @@ class BatchedEngine:
             down_until = np.full((K, n), -1, dtype=np.int64)
             lane_active_ids: List[np.ndarray] = []
             faults.reset()
-            value_models = faults.wrap_value_models(value_models)
         else:
             # Fault-free lanes track sorted active id arrays maintained
             # incrementally (halts are the only membership change), so a
@@ -262,13 +260,11 @@ class BatchedEngine:
             if not alive.any():
                 break
             if faults is not None:
-                # Round-start fault effects land before the stop checks,
-                # like the scalar engine: due posts are delivered at a
-                # lane's final round, and restarts can revive a lane
-                # whose every player is down.
+                # Restarts land before the stop checks, like the scalar
+                # engine's: they can revive a lane whose every player is
+                # down.
                 faults.round_start(
-                    round_no, alive, active, down_until, self.boards,
-                    self.strategy,
+                    round_no, alive, active, down_until, self.strategy
                 )
             # Stop checks, in the scalar engine's order: all-halted
             # (with nobody pending a restart) first, then the strategy's
@@ -344,7 +340,7 @@ class BatchedEngine:
                     probers_per_lane.append(probers)
                     targets_per_lane.append(targets)
                     values_per_lane.append(
-                        value_models[k].observe_many(probers, targets)
+                        self.value_models[k].observe_many(probers, targets)
                     )
 
             if probing_lanes:
@@ -392,12 +388,7 @@ class BatchedEngine:
                         if faults is not None:
                             v_players, v_objects, v_values = (
                                 faults.filter_block(
-                                    k,
-                                    round_no,
-                                    v_players,
-                                    v_objects,
-                                    v_values,
-                                    PostKind.VOTE,
+                                    k, v_players, v_objects, v_values
                                 )
                             )
                         if v_players.size:
@@ -415,12 +406,7 @@ class BatchedEngine:
                         if faults is not None:
                             r_players, r_objects, r_values = (
                                 faults.filter_block(
-                                    k,
-                                    round_no,
-                                    r_players,
-                                    r_objects,
-                                    r_values,
-                                    PostKind.REPORT,
+                                    k, r_players, r_objects, r_values
                                 )
                             )
                         if r_players.size:

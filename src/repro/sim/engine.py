@@ -105,10 +105,10 @@ class SynchronousEngine:
         adversarial randomness are independent streams.
     fault_injector:
         Optional :class:`~repro.faults.injector.FaultInjector` applying
-        infrastructure faults (lossy billboard, churn, observation
-        noise) to the run. ``None`` — the default, and the paper's model
-        — leaves every code path byte-identical to the fault-free
-        engine. The injector must carry its *own* rng stream.
+        infrastructure faults (lossy billboard, churn) to the run.
+        ``None`` — the default, and the paper's model — leaves every
+        code path byte-identical to the fault-free engine. The injector
+        must carry its *own* rng stream.
     obs:
         Optional :class:`~repro.obs.registry.Registry` the run increments
         event counters into (``engine.*``, ``billboard.*``, ``faults.*``).
@@ -199,7 +199,6 @@ class SynchronousEngine:
         active_ids = inst.honest_ids.copy()  # honest players still probing
 
         faults = self.fault_injector
-        value_model = self.value_model
         #: crashed players keyed by the round they restart in; crashed
         #: players cannot probe or halt while down, so each entry stays
         #: exact until its round arrives (restart_after is fixed, hence
@@ -208,7 +207,6 @@ class SynchronousEngine:
         n_down = 0
         if faults is not None:
             faults.reset()
-            value_model = faults.wrap_value_model(value_model)
 
         self.strategy.reset(self.ctx, self.rng)
         if self.adversary is not None:
@@ -227,7 +225,6 @@ class SynchronousEngine:
         round_no = 0
         while round_no < self.config.max_rounds:
             if faults is not None:
-                self._deliver_due_posts(faults, round_no)
                 restarts = restart_at.pop(round_no, None)
                 if restarts is not None:
                     n_down -= restarts.size
@@ -299,7 +296,7 @@ class SynchronousEngine:
             if n_probing:
                 if obs is not None:
                     count_probes(n_probing)
-                values = value_model.observe_many(probers, targets)
+                values = self.value_model.observe_many(probers, targets)
                 # probers are unique, so np.add.at adds exactly what a
                 # fancy ``+=`` would, without its gather-and-scatter
                 np.add.at(probes, probers, 1)
@@ -407,33 +404,6 @@ class SynchronousEngine:
         )
 
     # ------------------------------------------------------------------
-    def _deliver_due_posts(
-        self, faults: "FaultInjector", round_no: int
-    ) -> None:
-        """Round-start fault effect: deliver delayed posts landing now.
-
-        (Restarts — the other round-start effect — are handled inline in
-        :meth:`run` from the restart schedule, so an idle round costs no
-        per-player scan.)
-        """
-        due = faults.due_posts(round_no)
-        if due:
-            self.board.append_many(round_no, due)
-            if self.obs is not None:
-                self.obs.counter("billboard.posts_fault_delivered").add(
-                    len(due)
-                )
-            if self.trace is not None:
-                for player, object_id, _value, kind in due:
-                    self.trace.record(
-                        round_no,
-                        "fault_deliver",
-                        player=int(player),
-                        object=int(object_id),
-                        post_kind=kind.value,
-                    )
-
-    # ------------------------------------------------------------------
     def _post_honest(
         self,
         round_no: int,
@@ -444,18 +414,14 @@ class SynchronousEngine:
         faults: Optional["FaultInjector"],
     ) -> None:
         """Append one same-kind block of honest posts, as columns,
-        routing it through the lossy-billboard decisions when faults are
-        injected. Vote trace events are recorded only for posts that
-        actually land this round; drops and delays get their own event
-        kinds."""
-        fates = None
-        landed = players, objects, values
-        if faults is not None:
-            fates = faults.delivery_rounds(
-                round_no, players, objects, values, kind
-            )
-            now = fates == round_no
-            landed = players[now], objects[now], values[now]
+        routing it through the lossy billboard when faults are injected.
+        Vote trace events are recorded only for posts that land; drops
+        get their own event kind."""
+        keep = None if faults is None else faults.keep_mask(players.shape[0])
+        landed = (
+            (players, objects, values) if keep is None
+            else (players[keep], objects[keep], values[keep])
+        )
         if landed[0].size:
             self.board.post_block(round_no, *landed, kind)
             if self.obs is not None:
@@ -471,24 +437,15 @@ class SynchronousEngine:
                 self.trace.record(
                     round_no, "vote", player=player, object=object_id
                 )
-        if fates is None:
+        if keep is None:
             return
-        for i in np.flatnonzero(fates < 0).tolist():
+        for i in np.flatnonzero(~keep).tolist():
             self.trace.record(
                 round_no,
                 "fault_drop",
                 player=int(players[i]),
                 object=int(objects[i]),
                 post_kind=kind.value,
-            )
-        for i in np.flatnonzero(fates > round_no).tolist():
-            self.trace.record(
-                round_no,
-                "fault_delay",
-                player=int(players[i]),
-                object=int(objects[i]),
-                post_kind=kind.value,
-                deliver_round=int(fates[i]),
             )
 
     # ------------------------------------------------------------------

@@ -49,7 +49,7 @@ class RunMetrics:
         Free-form diagnostics exported by the strategy (e.g. DISTILL's
         ATTEMPT count and candidate-set trajectory).
     fault_info:
-        Realized fault counts (drops, delays, crashes, restarts) when the
+        Realized fault counts (dropped posts, crashes, restarts) when the
         run was driven with a :class:`~repro.faults.injector.FaultInjector`;
         empty for clean runs.
     trace:

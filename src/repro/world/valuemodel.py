@@ -145,59 +145,6 @@ class NoisyValueModel(ValueModel):
         return result
 
 
-class PerturbedValueModel(ValueModel):
-    """Wrap another model with seed-reproducible observation noise.
-
-    Used by the fault-injection layer
-    (:meth:`~repro.faults.injector.FaultInjector.wrap_value_model`): with
-    probability ``noise_rate`` a probe's observed value is shifted by a
-    uniform perturbation in ``[-noise, +noise]``. The wrapper draws
-    exactly two values from its generator per probe regardless of
-    whether the perturbation fires, so the rng stream position depends
-    only on the number of probes — never on their outcomes — which keeps
-    runs reproducible under any fault realization.
-
-    Unlike :class:`NoisyValueModel` (the paper's Section 4.1 erroneous
-    votes, which lures players toward *bad* objects), this wrapper is an
-    infrastructure fault: it perturbs every observation symmetrically,
-    good objects included.
-    """
-
-    def __init__(
-        self,
-        inner: ValueModel,
-        rng: np.random.Generator,
-        noise_rate: float,
-        noise: float,
-    ) -> None:
-        super().__init__(inner.space)
-        if not 0 <= noise_rate <= 1:
-            raise ValueError(f"noise_rate must be in [0, 1], got {noise_rate}")
-        if noise < 0:
-            raise ValueError(f"noise must be >= 0, got {noise}")
-        self.inner = inner
-        self.rng = rng
-        self.noise_rate = float(noise_rate)
-        self.noise = float(noise)
-
-    def observe(self, player: int, object_id: int) -> float:
-        value = self.inner.observe(player, object_id)
-        fires = self.rng.random() < self.noise_rate
-        shift = self.rng.uniform(-self.noise, self.noise)
-        return float(value + shift) if fires else float(value)
-
-    def observe_many(
-        self, players: np.ndarray, objects: np.ndarray
-    ) -> np.ndarray:
-        values = np.asarray(
-            self.inner.observe_many(players, objects), dtype=np.float64
-        ).copy()
-        fires = self.rng.random(values.shape[0]) < self.noise_rate
-        shifts = self.rng.uniform(-self.noise, self.noise, values.shape[0])
-        values[fires] += shifts[fires]
-        return values
-
-
 def constant_spoof_table(
     space: ObjectSpace, liked: np.ndarray, high: float = 1.0, low: float = 0.0
 ) -> np.ndarray:

@@ -44,16 +44,10 @@ VOTE_MODES = {
     "mutable": (VoteMode.MUTABLE, 1),
 }
 
-#: the E15-style robustness cell: post loss + delay + churn + noise at
-#: once, the hardest configuration the fault layer supports
+#: the E15-style robustness cell: post loss + churn at once, the
+#: hardest configuration the fault layer supports
 FAULTED_PLAN = FaultPlan(
-    post_loss_rate=0.15,
-    post_delay_rate=0.15,
-    max_post_delay=2,
-    crash_rate=0.03,
-    restart_after=3,
-    observation_noise_rate=0.2,
-    observation_noise=0.05,
+    post_loss_rate=0.15, crash_rate=0.03, restart_after=3
 )
 
 #: scalar rows only (``batch_lanes=None``): lanes run the columnar board

@@ -2,16 +2,15 @@
 
 The engine-level faulted equivalence grid lives in
 ``tests/sim/test_batch_equivalence.py``; this module pins the building
-blocks underneath it: the array-native post filter consumes the *exact*
-stream the tuple-based scalar filter does, per-lane injector construction
-treats ``None``/null plans as fault-free lanes, and the lane bookkeeping
-(restarts, crashes, per-lane summaries) matches its scalar counterpart.
+blocks underneath it: a lane's post filter delivers exactly the posts
+its scalar injector keeps, from the same stream, and the lane
+bookkeeping (restarts, crashes, per-lane summaries) matches its scalar
+counterpart.
 """
 
 import numpy as np
 import pytest
 
-from repro.billboard.post import PostKind
 from repro.errors import ConfigurationError
 from repro.faults.batched import BatchedFaultInjector
 from repro.faults.injector import FaultInjector
@@ -30,58 +29,38 @@ def _block(rng, size):
 
 
 class TestFilterPostArrays:
-    """The array filter is the tuple filter with different plumbing: same
-    draws, same fates, same queue contents, same counters."""
+    """The lane filter is the scalar loss decision applied to columns:
+    same draws, same delivered sub-blocks, same counters."""
 
-    @pytest.mark.parametrize(
-        "plan",
-        [
-            FaultPlan(post_loss_rate=0.3),
-            FaultPlan(post_delay_rate=0.5, max_post_delay=3),
-            FaultPlan(post_loss_rate=0.25, post_delay_rate=0.25,
-                      max_post_delay=2),
-        ],
-    )
-    def test_matches_filter_posts_stream_for_stream(self, plan):
+    @pytest.mark.parametrize("loss", [0.3, 0.75])
+    def test_matches_the_scalar_decision(self, loss):
+        plan = FaultPlan(post_loss_rate=loss)
         world = _rng(7)
+        faults = BatchedFaultInjector([FaultInjector(plan, _rng(42))])
+        faults.reset()
         scalar = FaultInjector(plan, _rng(42))
-        arrayed = FaultInjector(plan, _rng(42))
         scalar.reset()
-        arrayed.reset()
-        for round_no in range(12):
+        for _round in range(12):
             players, objects, values = _block(world, int(world.integers(0, 9)))
-            entries = [
-                (int(p), int(o), float(v), PostKind.VOTE)
-                for p, o, v in zip(players, objects, values)
-            ]
-            delivered, _dropped, _delayed = scalar.filter_posts(
-                round_no, entries
-            )
-            dp, do, dv = arrayed.filter_post_arrays(
-                round_no, players, objects, values, PostKind.VOTE
-            )
-            assert [
-                (int(p), int(o), float(v), PostKind.VOTE)
-                for p, o, v in zip(dp, do, dv)
-            ] == delivered
-            # the delayed-post queues must release identically too
-            assert arrayed.due_posts(round_no + 1) == scalar.due_posts(
-                round_no + 1
-            )
-        assert arrayed.counts == scalar.counts
-        assert arrayed.pending_posts == scalar.pending_posts
+            keep = scalar.keep_mask(players.size)
+            if keep is None:
+                keep = np.ones(players.size, dtype=bool)
+            dp, do, dv = faults.filter_block(0, players, objects, values)
+            assert np.array_equal(dp, players[keep])
+            assert np.array_equal(do, objects[keep])
+            assert np.array_equal(dv, values[keep])
+        assert faults.info(0) == scalar.info()
 
     def test_empty_block_draws_nothing(self):
-        plan = FaultPlan(post_loss_rate=0.5)
-        injector = FaultInjector(plan, _rng(3))
-        injector.reset()
+        injector = FaultInjector(FaultPlan(post_loss_rate=0.5), _rng(3))
+        faults = BatchedFaultInjector([injector])
+        faults.reset()
         before = injector.rng.bit_generator.state
-        out = injector.filter_post_arrays(
+        out = faults.filter_block(
             0,
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.float64),
-            PostKind.VOTE,
         )
         assert all(arr.size == 0 for arr in out)
         assert injector.rng.bit_generator.state == before
@@ -89,39 +68,14 @@ class TestFilterPostArrays:
     def test_lossless_plan_draws_nothing(self):
         plan = FaultPlan(crash_rate=0.5)  # no post faults
         injector = FaultInjector(plan, _rng(3))
-        injector.reset()
+        faults = BatchedFaultInjector([injector, None])
+        faults.reset()
         before = injector.rng.bit_generator.state
         players, objects, values = _block(_rng(1), 5)
-        dp, do, dv = injector.filter_post_arrays(
-            0, players, objects, values, PostKind.REPORT
-        )
-        assert np.array_equal(dp, players)
+        for lane in (0, 1):
+            dp, do, dv = faults.filter_block(lane, players, objects, values)
+            assert dp is players and do is objects and dv is values
         assert injector.rng.bit_generator.state == before
-
-
-class TestFromPlans:
-    """Per-lane construction: ``None`` and null plans mean a fault-free
-    lane whose spare stream is never consumed."""
-
-    def test_null_and_none_plans_make_no_injector(self):
-        plans = [FaultPlan(post_loss_rate=0.1), None, FaultPlan()]
-        faults = BatchedFaultInjector.from_plans(
-            plans, [_rng(i) for i in range(3)]
-        )
-        assert faults.n_lanes == 3
-        assert faults.lane(0) is not None
-        assert faults.lane(1) is None
-        assert faults.lane(2) is None
-        assert faults.info(1) == {}
-        assert faults.info(2) == {}
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError, match="fault streams"):
-            BatchedFaultInjector.from_plans([None], [_rng(0), _rng(1)])
-
-    def test_empty_lanes_rejected(self):
-        with pytest.raises(ConfigurationError, match="at least one lane"):
-            BatchedFaultInjector([])
 
 
 class TestLaneBookkeeping:
@@ -171,6 +125,10 @@ class TestLaneBookkeeping:
         assert faults.info(0)["crashes"] == 4
         assert faults.info(1) == {}
 
+    def test_empty_lanes_rejected(self):
+        with pytest.raises(ConfigurationError, match="at least one lane"):
+            BatchedFaultInjector([])
+
     def test_lane_count_validation_in_engine(self):
         from repro.sim.batch_engine import BatchedEngine
         from repro.world.generators import planted_instance
@@ -183,8 +141,3 @@ class TestLaneBookkeeping:
         faults = BatchedFaultInjector([None])
         with pytest.raises(ConfigurationError, match="lanes"):
             BatchedEngine(instances, strategy=None, faults=faults)
-
-    def test_wrap_value_models_length_checked(self):
-        faults = BatchedFaultInjector([None, None])
-        with pytest.raises(ConfigurationError, match="value models"):
-            faults.wrap_value_models([])

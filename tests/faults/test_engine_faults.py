@@ -2,8 +2,8 @@
 
 The contract under test, per fault kind:
 
-* lossy billboard — honest votes vanish (or land late) but a player's
-  *own* probe still satisfies it: faults cost time, never correctness;
+* lossy billboard — honest votes vanish but a player's *own* probe
+  still satisfies it: faults cost time, never correctness;
 * churn — crashed players stop probing; restartable ones rejoin with no
   memory and the strategy is notified; permanent ones are halted;
 * null plan — byte-identical to running with no fault layer at all;
@@ -82,25 +82,6 @@ class TestLossyBillboard:
         assert metrics.all_honest_satisfied
         assert engine.board.posts(kind=PostKind.VOTE) == []
         assert metrics.fault_info["dropped_posts"] == 2
-        assert metrics.fault_info["undelivered_posts"] == 0
-
-    def test_delayed_votes_land_with_the_delivery_stamp(self):
-        inst = two_object_instance()
-        engine = SynchronousEngine(
-            inst,
-            FixedProbeStrategy(1),
-            fault_injector=injector(
-                FaultPlan(post_delay_rate=1.0, max_post_delay=1)
-            ),
-        )
-        metrics = engine.run()
-        votes = engine.board.posts(kind=PostKind.VOTE)
-        assert len(votes) == 2
-        # probed (and halted) in round 0; the posts landed in round 1
-        assert all(post.round_no == 1 for post in votes)
-        assert metrics.fault_info["delayed_posts"] == 2
-        assert metrics.fault_info["undelivered_posts"] == 0
-        assert metrics.halted_round[inst.honest_mask].tolist() == [0, 0]
 
     def test_adversary_posts_bypass_the_filter(self):
         inst = two_object_instance()
@@ -217,34 +198,3 @@ class TestNullPlanIdentity:
         assert np.array_equal(a.probes, b.probes)
         assert a.rounds == b.rounds
 
-
-class TestObservationNoise:
-    def test_noise_perturbs_observed_values(self):
-        inst = two_object_instance()
-
-        class Recorder(FixedProbeStrategy):
-            def reset(self, ctx, rng):
-                super().reset(ctx, rng)
-                self.seen = []
-
-            def handle_results(self, round_no, players, objects, values):
-                self.seen.extend(values.tolist())
-                return super().handle_results(
-                    round_no, players, objects, values
-                )
-
-        recorder = Recorder(1)
-        engine = SynchronousEngine(
-            inst,
-            recorder,
-            fault_injector=injector(
-                FaultPlan(
-                    observation_noise_rate=1.0, observation_noise=0.05
-                )
-            ),
-        )
-        metrics = engine.run()
-        assert metrics.all_honest_satisfied  # 0.05 noise cannot flip 1.0
-        assert recorder.seen
-        assert all(abs(v - 1.0) <= 0.05 + 1e-12 for v in recorder.seen)
-        assert any(v != 1.0 for v in recorder.seen)

@@ -15,7 +15,7 @@ import pytest
 from repro.errors import LoadShedError
 from repro.exec.protocol import encode_frame, recv_frame
 from repro.serve import ServeClient, ServeConfig
-from repro.serve.service import ServiceThread
+from repro.serve.service import MAX_REQUEST_BYTES, RECV_BYTES, ServiceThread
 
 SOCKET_TIMEOUT_S = 10.0
 
@@ -58,6 +58,32 @@ def test_a_request_sent_one_byte_at_a_time_gets_one_reply(served):
         kind, body = recv_frame(sock)
         assert kind == "ok" and body == {"epoch": 0, "objects": [0, 1, 2]}
         assert unread_replies(sock) == b""
+
+
+def vote_at_the_cap(player):
+    """A ``vote`` frame whose payload is exactly ``MAX_REQUEST_BYTES``:
+    the service ignores the padding key."""
+    body = {"player": player, "object": 2, "pad": ""}
+    short = len(encode_frame("vote", dict(body, pad="x" * 1000)))
+    body["pad"] = "x" * (1000 + MAX_REQUEST_BYTES + 4 - short)
+    frame = encode_frame("vote", body)
+    assert len(frame) == MAX_REQUEST_BYTES + 4
+    return frame
+
+
+def test_requests_longer_than_one_read_get_one_reply_each(served):
+    frames = [vote_at_the_cap(1), vote_at_the_cap(2)]
+    frames.append(encode_frame("query", {"op": "board"}))
+    assert len(frames[0]) > RECV_BYTES  # so each spans two reads or more
+    with connect(served.address) as sock:
+        sock.sendall(b"".join(frames))
+        replies = [recv_frame(sock) for _ in frames]
+        assert unread_replies(sock) == b""
+    assert replies[:2] == [
+        ("ok", {"epoch": 0, "buffered": 1}),
+        ("ok", {"epoch": 0, "buffered": 2}),
+    ]
+    assert replies[2][0] == "ok" and replies[2][1]["buffered"] == 2
 
 
 def test_requests_in_one_segment_get_their_replies_in_order(served):

@@ -7,9 +7,9 @@ promises that for every supported configuration the per-trial
 same satisfied/halted arrays, same diagnostics. This module is that
 promise's enforcement: a pinned grid over vote modes × adversaries ×
 strategies, a faulted grid over fault plans (faults batch natively —
-loss, delay, churn, noise, combined), grid-lane packing vs per-cell
-runs, a seed-randomized property test, and the unsupported-config
-fallback contract. CI fails if this module is skipped or collects zero
+loss, churn, permanent churn, loss + churn), grid-lane packing vs
+per-cell runs, a seed-randomized property test, and the
+unsupported-config fallback contract. CI fails if this module is skipped or collects zero
 tests, so the contract cannot silently rot.
 """
 
@@ -73,18 +73,10 @@ GRID = [
 #: one plan per fault mechanism, plus the all-at-once composition
 FAULT_PLANS = {
     "loss": FaultPlan(post_loss_rate=0.3),
-    "delay": FaultPlan(post_delay_rate=0.5, max_post_delay=3),
     "churn": FaultPlan(crash_rate=0.05, restart_after=2),
     "churn-permanent": FaultPlan(crash_rate=0.02),
-    "noise": FaultPlan(observation_noise_rate=0.5, observation_noise=0.05),
     "combined": FaultPlan(
-        post_loss_rate=0.15,
-        post_delay_rate=0.15,
-        max_post_delay=2,
-        crash_rate=0.03,
-        restart_after=3,
-        observation_noise_rate=0.2,
-        observation_noise=0.05,
+        post_loss_rate=0.15, crash_rate=0.03, restart_after=3
     ),
 }
 
@@ -248,21 +240,17 @@ class TestFaultedGoldenPins:
             fault_plan=FAULT_PLANS["combined"], batch_lanes=3,
         )
         assert res.per_trial["rounds"].tolist() == [
-            10.0, 8.0, 5.0, 4.0, 5.0, 7.0,
+            6.0, 9.0, 11.0, 6.0, 6.0, 8.0,
         ]
         assert res.metrics[0].fault_info == {
-            "dropped_posts": 2,
-            "delayed_posts": 1,
-            "crashes": 1,
-            "restarts": 1,
-            "undelivered_posts": 0,
-        }
-        assert res.metrics[3].fault_info == {
-            "dropped_posts": 2,
-            "delayed_posts": 2,
+            "dropped_posts": 3,
             "crashes": 0,
             "restarts": 0,
-            "undelivered_posts": 0,
+        }
+        assert res.metrics[3].fault_info == {
+            "dropped_posts": 0,
+            "crashes": 3,
+            "restarts": 3,
         }
 
     def test_churn_trivial_silent(self):
@@ -275,10 +263,8 @@ class TestFaultedGoldenPins:
         ]
         assert res.metrics[0].fault_info == {
             "dropped_posts": 0,
-            "delayed_posts": 0,
             "crashes": 1,
             "restarts": 1,
-            "undelivered_posts": 0,
         }
 
 
@@ -388,15 +374,6 @@ class TestGridLanes:
                 ),
                 label="faulted-trivial",
             ),
-            GridCell(
-                make_instance=self._cell_factory(0.6, 0.25),
-                make_strategy=DistillStrategy,
-                make_adversary=SplitVoteAdversary,
-                n_trials=4,
-                seed=99,
-                fault_plan=FaultPlan(post_delay_rate=0.3, max_post_delay=2),
-                label="delayed-distill",
-            ),
         ]
 
     def _reference(self, cell, config):
@@ -414,7 +391,7 @@ class TestGridLanes:
     def test_mixed_cells_match_per_cell_runs(self):
         config = _config("single")
         cells = self._mixed_cells()
-        # 12 trials into 4-lane groups: every group mixes cells.
+        # 8 trials into 4-lane groups: the second group mixes both cells.
         grid = run_trial_grid(
             cells, config=config, batch_lanes=4, keep_metrics=True
         )
