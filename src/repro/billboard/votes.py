@@ -36,68 +36,139 @@ from repro.errors import ConfigurationError
 from repro.billboard.post import Post
 
 
+#: A column buffer of at least this many bytes is kept where it is when
+#: the column outgrows it; a smaller one is copied into a buffer twice
+#: its size. Below the rule the copies are small, and a board's small
+#: buffers do not pile up. Measured with perfbench on a 2-vCPU x86-64
+#: VM (Python 3.11, numpy 2.4), six interleaved pairs each: with this
+#: rule ``sparse_1e5`` (one board, 1.59 million posts) peaked at
+#: 102.2–105.0 MB against 116.2–123.6 MB copying every buffer, and
+#: keeping every buffer instead raised ``lanes_grid``'s peak (32 lanes
+#: of about 3,900 posts each) from 70.7–71.4 MB to 72.4–73.3 MB.
+KEEP_BUFFER_BYTES = 1 << 20
+
+
+def _doubled(capacity: int, needed: int) -> int:
+    while capacity < needed:
+        capacity *= 2
+    return capacity
+
+
 class _IntColumn:
     """A growable typed column with amortized O(1) appends.
 
     The ledger stores its effective-vote log as three of these (rounds,
     players, objects) so that every query is a vectorized slice instead of
-    a Python walk. :meth:`view` returns a zero-copy window onto the filled
-    prefix; callers must not mutate it. The default ``int64`` matches the
-    dense ledger's arithmetic; the columnar board passes narrower
-    dtypes (``int32`` ids, ``float64`` values, ``int8`` kinds) to keep
-    million-post logs compact. A block's constant columns (its round, its
-    kind) go in through :meth:`fill`, which writes the value in place
-    instead of copying a temporary array.
+    a Python walk. The default ``int64`` matches the dense ledger's
+    arithmetic; the columnar board passes narrower dtypes (``int32``
+    ids, ``float64`` values, ``int8`` kinds) to keep million-post logs
+    compact. A block's constant columns (its round, its kind) go in
+    through :meth:`fill`, which writes the value in place instead of
+    copying a temporary array.
+
+    Growth copies no large buffer. A buffer smaller than
+    :data:`KEEP_BUFFER_BYTES` grows by doubling into a copy; a larger
+    one is filled to its end, kept where it is, and followed by a new
+    buffer twice its size. :meth:`view` joins the kept buffers and the
+    current one into a new array, and asks the writer to merge them:
+    the next write copies every row into one buffer with room to spare,
+    so a column read every round pays the join until its next write,
+    not on every read after a growth, and a column nobody reads is
+    never copied.
+
+    Reads are safe against one writer thread. The column's storage is
+    one tuple, ``(kept buffers, current buffer, rows used in it, rows
+    in all)``: a write puts its rows where no published window reaches
+    (past the used rows, or in a new buffer) and then publishes a new
+    tuple, and a read takes the tuple once. The merge request is the
+    only thing a read writes, and it is the writer that merges.
     """
 
-    __slots__ = ("_buf", "_size")
+    __slots__ = ("_state", "_merge")
 
     def __init__(self, capacity: int = 64, dtype=np.int64) -> None:
-        self._buf = np.empty(max(int(capacity), 1), dtype=dtype)
-        self._size = 0
+        self._state: Tuple[Tuple[np.ndarray, ...], np.ndarray, int, int] = (
+            (), np.empty(max(int(capacity), 1), dtype=dtype), 0, 0
+        )
+        self._merge = False
 
     def __len__(self) -> int:
-        return self._size
+        return self._state[3]
 
     def append(self, value: float) -> None:
-        if self._size == self._buf.shape[0]:
-            self._grow(self._size + 1)
-        self._buf[self._size] = value
-        self._size += 1
+        kept, buf, used, size = self._state
+        if used < buf.shape[0] and not self._merge:
+            buf[used] = value
+            self._state = (kept, buf, used + 1, size + 1)
+        else:
+            self._write_growing(value, 1)
 
     def extend(self, values: np.ndarray) -> None:
         """Append a block of values in one vectorized copy."""
-        needed = self._size + values.shape[0]
-        if needed > self._buf.shape[0]:
-            self._grow(needed)
-        self._buf[self._size : needed] = values
-        self._size = needed
+        count = values.shape[0]
+        kept, buf, used, size = self._state
+        end = used + count
+        if end <= buf.shape[0] and not self._merge:
+            buf[used:end] = values
+            self._state = (kept, buf, end, size + count)
+        else:
+            self._write_growing(values, count)
 
     def fill(self, value: float, count: int) -> None:
         """Append ``count`` copies of ``value``, written in place."""
-        needed = self._size + count
-        if needed > self._buf.shape[0]:
-            self._grow(needed)
-        self._buf[self._size : needed] = value
-        self._size = needed
+        kept, buf, used, size = self._state
+        end = used + count
+        if end <= buf.shape[0] and not self._merge:
+            buf[used:end] = value
+            self._state = (kept, buf, end, size + count)
+        else:
+            self._write_growing(value, count)
 
-    def _grow(self, needed: int) -> None:
-        capacity = self._buf.shape[0]
-        while capacity < needed:
-            capacity *= 2
-        grown = np.empty(capacity, dtype=self._buf.dtype)
-        grown[: self._size] = self._buf[: self._size]
-        self._buf = grown
+    def _write_growing(self, rows, count: int) -> None:
+        """Append ``count`` rows (an array, or one value repeated) that
+        overrun the current buffer or follow a read's merge request."""
+        kept, buf, used, size = self._state
+        total = size + count
+        if self._merge:
+            self._merge = False
+            if kept:
+                merged = np.empty(_doubled(buf.shape[0], total), dtype=buf.dtype)
+                np.concatenate((*kept, buf[:used]), out=merged[:size])
+                kept, buf, used = (), merged, size
+        if used + count > buf.shape[0]:
+            if buf.nbytes < KEEP_BUFFER_BYTES:
+                grown = np.empty(_doubled(buf.shape[0], used + count), dtype=buf.dtype)
+                grown[:used] = buf[:used]
+                buf = grown
+            else:
+                room = buf.shape[0] - used
+                if isinstance(rows, np.ndarray):
+                    buf[used:] = rows[:room]
+                    rows = rows[room:]
+                else:
+                    buf[used:] = rows
+                count -= room
+                kept += (buf,)
+                buf = np.empty(_doubled(2 * buf.shape[0], count), dtype=buf.dtype)
+                used = 0
+        buf[used : used + count] = rows
+        self._state = (kept, buf, used + count, total)
 
     def view(self) -> np.ndarray:
-        """Zero-copy read-only window onto the filled prefix.
+        """Read-only window onto every row: zero-copy while the column
+        has one buffer, a join of its buffers otherwise.
 
         The window is marked non-writeable so out-of-API mutation fails
         loudly (``ValueError``) instead of silently corrupting the vote
-        accounting; the flag lives on the returned view only — the
-        ledger keeps writing through its own buffer reference.
+        accounting; the flag lives on the returned window only. Later
+        writes never reach a window's rows, so it keeps its contents.
         """
-        window = self._buf[: self._size]
+        kept, buf, used, _size = self._state
+        if kept:
+            window = np.concatenate((*kept, buf[:used]))
+            self._merge = True
+        else:
+            window = buf[:used]
         window.flags.writeable = False
         return window
 

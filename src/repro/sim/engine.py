@@ -278,16 +278,23 @@ class SynchronousEngine:
                     f"{choices.shape} probes for {active_ids.shape} players"
                 )
 
-            # Each mask is counted once, and the count picks the path: a
-            # round where every active player probes (an explore round
-            # over a non-empty pool, or an advice round whose advisors
-            # all voted) takes active_ids and choices as they are.
+            # The probing count picks the path: a round where every
+            # active player probes (an explore round over a non-empty
+            # pool, or an advice round whose advisors all voted) takes
+            # active_ids and choices as they are, and builds no
+            # positions. Otherwise a mask's true positions are found
+            # once and each column is gathered by position, here and
+            # for votes and reports below: numpy's boolean gather is
+            # several times slower on a mask that is neither nearly
+            # empty nor nearly full.
             probing = choices >= 0
             n_probing = int(np.count_nonzero(probing))
             if n_probing == active_ids.size:
                 probers, targets = active_ids, choices
             else:
-                probers, targets = active_ids[probing], choices[probing]
+                probe_at = probing.nonzero()[0]
+                probers = active_ids.take(probe_at)
+                targets = choices.take(probe_at)
             if n_probing and targets.max() >= inst.m:
                 raise SimulationError(
                     f"strategy {self.strategy.name!r} probed an unknown object"
@@ -324,27 +331,38 @@ class SynchronousEngine:
                     vote_mask if halt_is_vote
                     else np.asarray(halt_mask, dtype=bool)
                 )
+                # positions from a mask of another length would gather
+                # the wrong rows without an error
+                if vote_mask.shape != probers.shape or (
+                    halt_mask.shape != probers.shape
+                ):
+                    raise SimulationError(
+                        f"strategy {self.strategy.name!r} returned masks of "
+                        f"{vote_mask.shape} and {halt_mask.shape} for "
+                        f"{probers.shape} probes"
+                    )
 
-                n_votes = int(np.count_nonzero(vote_mask))
-                voters = probers[vote_mask] if n_votes else probers[:0]
+                vote_at = vote_mask.nonzero()[0]
+                n_votes = vote_at.size
+                voters = probers.take(vote_at)
                 if n_votes:
                     if obs is not None:
                         count_votes(n_votes)
                     self._post_honest(
                         round_no,
                         voters,
-                        targets[vote_mask],
-                        values[vote_mask],
+                        targets.take(vote_at),
+                        values.take(vote_at),
                         PostKind.VOTE,
                         faults,
                     )
                 if self.config.record_reports and n_votes < n_probing:
                     if n_votes:
-                        report_mask = ~vote_mask
+                        report_at = (~vote_mask).nonzero()[0]
                         reported = (
-                            probers[report_mask],
-                            targets[report_mask],
-                            values[report_mask],
+                            probers.take(report_at),
+                            targets.take(report_at),
+                            values.take(report_at),
                         )
                     else:
                         reported = probers, targets, values
@@ -352,19 +370,24 @@ class SynchronousEngine:
                         round_no, *reported, PostKind.REPORT, faults
                     )
 
-                halters = voters if halt_is_vote else probers[halt_mask]
+                halters = (
+                    voters if halt_is_vote
+                    else probers.take(halt_mask.nonzero()[0])
+                )
                 if halters.size:
                     if obs is not None:
                         count_halts(int(halters.size))
                     # halters probed this round, so they are active —
                     # never pending a restart; probers are active_ids at
                     # the probing positions, so dropping them by mask
-                    # keeps the ids sorted
+                    # keeps the ids sorted. The halting mask is mostly
+                    # false, so its complement is nearly full and the
+                    # boolean gather is the cheap one.
                     if probers is active_ids:
                         active_ids = active_ids[~halt_mask]
                     else:
                         keep = np.ones(active_ids.size, dtype=bool)
-                        keep[probing] = ~halt_mask
+                        keep[probe_at] = ~halt_mask
                         active_ids = active_ids[keep]
                     halted_round[halters] = round_no
                     if self.trace is not None:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.billboard.board import Billboard
 from repro.billboard.columnar import ColumnarBoard
 from repro.billboard.post import PostKind
+from repro.billboard.votes import KEEP_BUFFER_BYTES
 from repro.errors import InvalidPostError, TamperError
 
 #: the head digest of a fixed three-post history, recorded from the eager
@@ -26,13 +27,38 @@ def _golden_entries():
     ]
 
 
+def _stored_parts(column):
+    """A column's stored rows as writeable arrays, in row order: each
+    buffer kept by growth, then the used rows of the current one."""
+    kept, buf, used, _size = column._state
+    return [*kept, buf[:used]]
+
+
+def _poke(column, row, value):
+    """Overwrite stored row ``row`` of ``column`` in place, behind the
+    append API, in whichever buffer holds it."""
+    for part in _stored_parts(column):
+        if row < part.size:
+            part[row] = value
+            return
+        row -= part.size
+    raise IndexError(row)
+
+
 def _edit_columns(board, edit):
-    """Rewrite every stored column behind the append API: ``edit`` maps
-    a column's filled rows to the rows to store instead."""
+    """Rewrite every stored column in place, behind the append API:
+    ``edit`` maps a column's rows to the rows to store instead, as many
+    or fewer (the column then ends early)."""
     for column in board._columns():
-        rows = edit(column._buf[: len(column)].copy())
-        column._buf[: rows.size] = rows
-        column._size = rows.size
+        parts = _stored_parts(column)
+        rows = edit(np.concatenate(parts))
+        offset = 0
+        for part in parts:
+            chunk = rows[offset : offset + part.size]
+            part[: chunk.size] = chunk
+            offset += part.size
+        kept, buf, used, size = column._state
+        column._state = (kept, buf, used - (size - rows.size), rows.size)
 
 
 class TestAppend:
@@ -200,7 +226,7 @@ class TestIntegrityChain:
         board.append(0, 1, 2, 1.0, PostKind.VOTE)
         board.append(1, 2, 3, 1.0, PostKind.VOTE)
         # simulate an out-of-API mutation of history
-        board._objects._buf[0] = 9
+        _poke(board._objects, 0, 9)
         assert board[0].object_id == 9
         with pytest.raises(TamperError):
             board.verify_integrity()
@@ -231,7 +257,26 @@ class TestIntegrityChain:
         """The lazy chain copies each write's rows, so tampering with a
         stored post before the digest is ever read still fails."""
         board.append(0, 1, 2, 1.0, PostKind.VOTE)
-        board._objects._buf[0] = 9  # changed without reading head_digest first
+        _poke(board._objects, 0, 9)  # changed without reading head_digest first
+        with pytest.raises(TamperError):
+            board.verify_integrity()
+
+    def test_edit_in_a_kept_buffer_detected(self):
+        """Past the size rule a column's early rows stay in the buffer
+        growth kept; an edit there, made before the digest is ever read,
+        still fails verification."""
+        board = Billboard(8, 16)
+        block = 4096
+        ids = np.arange(block) % 8
+        # enough float64 values to fill one kept buffer and start another
+        for round_no in range(KEEP_BUFFER_BYTES // 8 // block + 1):
+            board.post_block(
+                round_no, ids, ids, np.full(block, 0.5), PostKind.REPORT
+            )
+        kept, _buf, _used, _size = board._values._state
+        assert kept and kept[0].nbytes >= KEEP_BUFFER_BYTES
+        _poke(board._values, 0, 0.25)
+        assert board[0].reported_value == 0.25
         with pytest.raises(TamperError):
             board.verify_integrity()
 

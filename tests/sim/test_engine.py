@@ -157,6 +157,21 @@ class TestStrategyContract:
         with pytest.raises(SimulationError):
             SynchronousEngine(inst, Broken()).run()
 
+    @pytest.mark.parametrize("short", ["vote", "halt"])
+    def test_result_mask_of_wrong_length_raises(self, short):
+        """The round gathers votes and halts by position, so a mask
+        shorter than the probes must fail, not pick the wrong rows."""
+
+        class ShortMask(FixedProbeStrategy):
+            def handle_results(self, round_no, players, objects, values):
+                full = np.zeros(players.size, dtype=bool)
+                cut = full[:-1]
+                return (cut, full) if short == "vote" else (full, cut)
+
+        inst = two_object_instance()
+        with pytest.raises(SimulationError, match="returned masks"):
+            SynchronousEngine(inst, ShortMask([0])).run()
+
     def test_unknown_object_raises(self):
         inst = two_object_instance()
         with pytest.raises(SimulationError):
