@@ -102,7 +102,7 @@ from repro.world import (
     valued_instance,
 )
 
-__version__ = "1.25.0"
+__version__ = "1.26.0"
 
 __all__ = [
     "Adversary",

@@ -16,8 +16,9 @@ or a buggy strategy poking at internals. The model's adversary never
 gets this power; the chain is a guard-rail for the *implementation*.
 
 The chain is **lazily materialized**: every write also keeps its rows
-as a pending copy, in the columns' own dtypes, and all SHA-256 work
-waits for the first :attr:`Billboard.head_digest` or
+as a pending copy (a block write one copy of its columns, a one-row
+append one packed 21-byte record), and all SHA-256 work waits for the
+first :attr:`Billboard.head_digest` or
 :meth:`Billboard.verify_integrity`, which folds the pending rows in
 append order and frees them. The digest is bit-identical to eager
 per-append chaining, and because the fold runs over the *copy* — not
@@ -28,19 +29,13 @@ materialization is still detected.
 from __future__ import annotations
 
 import hashlib
-from typing import Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
-from repro.billboard.columnar import (
-    ColumnarBoard,
-    Columns,
-    _append_row,
-    _extend_rows,
-    _new_columns,
-)
+from repro.billboard.columnar import ColumnarBoard
 from repro.billboard.post import Post, PostKind
-from repro.billboard.votes import VoteMode
+from repro.billboard.votes import VoteMode, _IntColumn
 from repro.errors import TamperError
 
 #: digest of the empty board (the chain's genesis value)
@@ -48,12 +43,16 @@ GENESIS_DIGEST = hashlib.sha256(b"repro-billboard-genesis").hexdigest()
 
 _KIND_NAMES = (PostKind.REPORT.value, PostKind.VOTE.value)
 
+#: a pending post, packed in the live columns' dtypes (21 bytes)
+_ROW = np.dtype({"names": ["round", "player", "object", "value", "kind"],
+                 "formats": ["<i4", "<i4", "<i4", "<f8", "<i1"]})
 
-def _fold(digest: str, first_seq: int, columns: Columns) -> str:
-    """Chain the rows of ``columns``, numbered from ``first_seq``, onto
-    ``digest``. Each post contributes its canonical field string
-    ``seq|round|player|object|value!r|kind``."""
-    rounds, players, objects, values, kinds = (c.view().tolist() for c in columns)
+
+def _fold(digest: str, first_seq: int, columns: Sequence[Sequence]) -> str:
+    """Chain the rows of ``columns`` (round, player, object, value and
+    kind lists), numbered from ``first_seq``, onto ``digest``, each as
+    its canonical field string ``seq|round|player|object|value!r|kind``."""
+    rounds, players, objects, values, kinds = columns
     sha256 = hashlib.sha256
     for seq, round_no, player, object_id, value, kind in zip(
         range(first_seq, first_seq + len(rounds)),
@@ -70,7 +69,7 @@ class Billboard(ColumnarBoard):
     """:class:`ColumnarBoard` plus a lazily folded SHA-256 chain over its
     posts. Takes the same arguments."""
 
-    __slots__ = ("_digest", "_folded", "_pending")
+    __slots__ = ("_digest", "_folded", "_rows", "_blocks")
 
     def __init__(
         self,
@@ -83,8 +82,10 @@ class Billboard(ColumnarBoard):
         #: digest of the first ``_folded`` posts
         self._digest = GENESIS_DIGEST
         self._folded = 0
-        #: copy of the posts written since, not yet folded into _digest
-        self._pending: Columns = _new_columns()
+        #: the posts since, not yet folded: packed one-row appends, and
+        #: each block's columns after the count of rows packed before it
+        self._rows = _IntColumn(dtype=_ROW)
+        self._blocks: List[tuple] = []
 
     # perfbench/sims.py wraps Billboard.append_many and
     # ColumnarBoard.append_many separately; an inherited method would be
@@ -93,7 +94,10 @@ class Billboard(ColumnarBoard):
 
     def _append(self, post: Post) -> None:
         super()._append(post)
-        _append_row(self._pending, post)
+        self._rows.append((
+            post.round_no, post.player, post.object_id, post.reported_value,
+            post.kind is PostKind.VOTE,
+        ))
 
     def _extend(
         self,
@@ -104,21 +108,36 @@ class Billboard(ColumnarBoard):
         votes: Union[np.ndarray, bool],
     ) -> None:
         super()._extend(round_no, players, objects, values, votes)
-        _extend_rows(self._pending, round_no, players, objects, values, votes)
+        # copies, as the caller may reuse its arrays (a kind mask is ours)
+        self._blocks.append((
+            len(self._rows), int(round_no), players.astype(np.int32),
+            objects.astype(np.int32), values.copy(), votes,
+        ))
 
     @property
     def head_digest(self) -> str:
         """Digest of the whole log (changes with every append).
 
-        Folds the pending rows on access; the value is bit-identical to
-        eager per-append chaining.
+        Folds the pending rows on access, in write order; the value is
+        bit-identical to eager per-append chaining.
         """
-        pending = self._pending
-        if len(pending[0]):
-            self._digest = _fold(self._digest, self._folded, pending)
-            self._folded += len(pending[0])
-            self._pending = _new_columns()
+        if len(self._rows) or self._blocks:
+            rows = self._rows.view()
+            packed = [rows[name].tolist() for name in _ROW.names]
+            start = 0
+            for stop, round_no, *block in self._blocks:
+                self._chain([column[start:stop] for column in packed])
+                start, shape = stop, block[0].shape
+                self._chain(
+                    [np.broadcast_to(c, shape).tolist() for c in (round_no, *block)]
+                )
+            self._chain([column[start:] for column in packed])
+            self._rows, self._blocks = _IntColumn(dtype=_ROW), []
         return self._digest
+
+    def _chain(self, columns: Sequence[list]) -> None:
+        self._digest = _fold(self._digest, self._folded, columns)
+        self._folded += len(columns[0])
 
     def verify_integrity(self) -> None:
         """Re-fold the stored columns from genesis; raise
@@ -128,7 +147,8 @@ class Billboard(ColumnarBoard):
         so a post edited after its append is detected even if
         :attr:`head_digest` was never read before the edit.
         """
-        if _fold(GENESIS_DIGEST, 0, self._columns()) != self.head_digest:
+        live = [column.view().tolist() for column in self._columns()]
+        if _fold(GENESIS_DIGEST, 0, live) != self.head_digest:
             raise TamperError(
                 "billboard hash chain mismatch: a stored post was mutated, "
                 "reordered or deleted outside the append API"

@@ -21,56 +21,12 @@ from repro.billboard.post import Entry, Post, PostKind
 from repro.billboard.votes import VoteLedger, VoteMode, _IntColumn
 from repro.errors import InvalidPostError, TamperError
 
-#: the five columns of a post log, in row order: round, player, object,
-#: value, kind (1 for a vote)
-Columns = Tuple[_IntColumn, _IntColumn, _IntColumn, _IntColumn, _IntColumn]
 
-
-def _new_columns() -> Columns:
-    """Five empty post columns. Ids fit int32 (the substrate knob
-    matters far below 2^31 players) and a kind is one byte: 21 bytes
-    per post."""
-    return (
-        _IntColumn(dtype=np.int32),
-        _IntColumn(dtype=np.int32),
-        _IntColumn(dtype=np.int32),
-        _IntColumn(dtype=np.float64),
-        _IntColumn(dtype=np.int8),
-    )
-
-
-def _append_row(columns: Columns, post: Post) -> None:
-    """Write one post into ``columns`` without building an array."""
-    rounds, players, objects, values, kinds = columns
-    rounds.append(post.round_no)
-    players.append(post.player)
-    objects.append(post.object_id)
-    values.append(post.reported_value)
-    kinds.append(post.kind is PostKind.VOTE)
-
-
-def _extend_rows(
-    columns: Columns,
-    round_no: int,
-    players: np.ndarray,
-    objects: np.ndarray,
-    values: np.ndarray,
-    votes: Union[np.ndarray, bool],
-) -> None:
-    """Write one round's posts into ``columns``; ids and kinds narrow as
-    they are copied in. ``votes`` is one flag per post, or a single flag
-    for a same-kind block; the round, and a block's single flag, are
-    written in place."""
-    rounds, player_col, object_col, value_col, kinds = columns
-    count = players.shape[0]
-    rounds.fill(round_no, count)
-    player_col.extend(players)
-    object_col.extend(objects)
-    value_col.extend(values)
-    if isinstance(votes, np.ndarray):
-        kinds.extend(votes)
-    else:
-        kinds.fill(votes, count)
+def _unsigned_max(ids: np.ndarray) -> int:
+    """The largest of int64 ``ids`` read as unsigned, by ``argmax``: no
+    ufunc-reduction set-up, which dominates ``max`` on a small block."""
+    unsigned = ids.view(np.uint64)
+    return unsigned[unsigned.argmax()]
 
 
 class ColumnarBoard:
@@ -117,16 +73,17 @@ class ColumnarBoard:
             mode=vote_mode,
             max_votes_per_player=max_votes_per_player,
         )
-        (
-            self._rounds,
-            self._players,
-            self._objects,
-            self._values,
-            self._kinds,
-        ) = _new_columns()
+        # Ids fit int32 (the substrate knob matters far below 2^31
+        # players) and a kind is one byte: 21 bytes per post.
+        self._rounds = _IntColumn(dtype=np.int32)
+        self._players = _IntColumn(dtype=np.int32)
+        self._objects = _IntColumn(dtype=np.int32)
+        self._values = _IntColumn(dtype=np.float64)
+        self._kinds = _IntColumn(dtype=np.int8)
         self._last_round = -1
 
-    def _columns(self) -> Columns:
+    def _columns(self) -> Tuple[_IntColumn, ...]:
+        """Round, player, object, value and kind (1 for a vote)."""
         return (self._rounds, self._players, self._objects, self._values, self._kinds)
 
     # ------------------------------------------------------------------
@@ -180,13 +137,20 @@ class ColumnarBoard:
         if not entries:
             return
         count = len(entries)
-        players = np.fromiter((e[0] for e in entries), np.int64, count=count)
-        objects = np.fromiter((e[1] for e in entries), np.int64, count=count)
+        players, objects, values, kinds = zip(*entries)
+        ids = np.fromiter(players + objects, np.int64, 2 * count)
+        players, objects = ids[:count], ids[count:]
         self._validate(round_no, players, objects)
-        values = np.fromiter((e[2] for e in entries), np.float64, count=count)
-        votes = np.fromiter((e[3] is PostKind.VOTE for e in entries), bool, count=count)
+        values = np.fromiter(values, np.float64, count)
+        n_votes = kinds.count(PostKind.VOTE)
+        if n_votes == count:
+            # an all-vote batch (every serve flush) is a same-kind block
+            self._extend(round_no, players, objects, values, True)
+            self.ledger.record_block(round_no, players, objects)
+            return
+        votes = np.fromiter((k is PostKind.VOTE for k in kinds), bool, count)
         self._extend(round_no, players, objects, values, votes)
-        if votes.any():
+        if n_votes:
             # one ledger pass; the ledger parity suite pins it to
             # per-post recording
             self.ledger.record_block(round_no, players[votes], objects[votes])
@@ -230,25 +194,25 @@ class ColumnarBoard:
     ) -> None:
         """Raise :meth:`append`'s error for the first bad entry of this
         batch, in entry order."""
-        # The round checks are the same for every entry, so entry 0
-        # raises them unless its own ids fail first.
-        self._validate_entry(round_no, int(players[0]), int(objects[0]))
         # An int64 id lies in [0, bound) iff it is below bound read as
-        # unsigned (a negative one wraps past 2^63), so one reduction per
-        # column clears a good batch; only a failing one pays for the
-        # mask that finds the first bad entry.
+        # unsigned (a negative one wraps past 2^63). The round checks are
+        # every entry's, so entry 0 raises them unless its own ids fail
+        # first; otherwise a mask finds the first bad entry.
         if (
-            players.view(np.uint64).max() >= self.n_players
-            or objects.view(np.uint64).max() >= self.n_objects
+            _unsigned_max(players) < self.n_players
+            and _unsigned_max(objects) < self.n_objects
+            and round_no >= max(self._last_round, 0)
         ):
-            bad = (
-                (players < 0)
-                | (players >= self.n_players)
-                | (objects < 0)
-                | (objects >= self.n_objects)
-            )
-            first = int(np.argmax(bad))
-            self._validate_entry(round_no, int(players[first]), int(objects[first]))
+            return
+        self._validate_entry(round_no, int(players[0]), int(objects[0]))
+        bad = (
+            (players < 0)
+            | (players >= self.n_players)
+            | (objects < 0)
+            | (objects >= self.n_objects)
+        )
+        first = int(np.argmax(bad))
+        self._validate_entry(round_no, int(players[first]), int(objects[first]))
 
     def _validate_entry(self, round_no: int, player: int, object_id: int) -> None:
         if not 0 <= player < self.n_players:
@@ -270,8 +234,12 @@ class ColumnarBoard:
     # The two row writes every append path ends in (Billboard extends
     # both to keep its pending chain copy).
     def _append(self, post: Post) -> None:
-        """Write one validated post."""
-        _append_row(self._columns(), post)
+        """Write one validated post without building an array."""
+        self._rounds.append(post.round_no)
+        self._players.append(post.player)
+        self._objects.append(post.object_id)
+        self._values.append(post.reported_value)
+        self._kinds.append(post.kind is PostKind.VOTE)
         self._last_round = post.round_no
 
     def _extend(
@@ -282,9 +250,18 @@ class ColumnarBoard:
         values: np.ndarray,
         votes: Union[np.ndarray, bool],
     ) -> None:
-        """Write one validated round's batch (``votes`` as in
-        :func:`_extend_rows`)."""
-        _extend_rows(self._columns(), round_no, players, objects, values, votes)
+        """Write one validated round's batch; ids and kinds narrow as
+        they are copied in. ``votes`` is one flag per post, or a single
+        flag for a same-kind block; the round, and a block's single
+        flag, are written in place."""
+        self._rounds.fill(round_no, players.shape[0])
+        self._players.extend(players)
+        self._objects.extend(objects)
+        self._values.extend(values)
+        if isinstance(votes, np.ndarray):
+            self._kinds.extend(votes)
+        else:
+            self._kinds.fill(votes, players.shape[0])
         self._last_round = round_no
 
     # ------------------------------------------------------------------

@@ -239,6 +239,15 @@ class VoteLedger:
         # Current advice target per player; -1 means "no vote yet".
         self._current_vote = np.full(n_players, -1, dtype=np.int64)
 
+        # SINGLE only: each vote post takes the next running position,
+        # and each player keeps its first vote's (int64 max before it).
+        self._n_votes = 0
+        self._first_position: Optional[np.ndarray] = (
+            np.full(n_players, np.iinfo(np.int64).max)
+            if mode is VoteMode.SINGLE
+            else None
+        )
+
         # Effective-vote tally per player (MULTI's cap, votes_cast_by).
         # SINGLE keeps none: there it always equals _current_vote >= 0.
         self._vote_counts: Optional[np.ndarray] = (
@@ -285,9 +294,11 @@ class VoteLedger:
             # no-op for the current pointer but does not add a new entry.
             if self._current_vote[player] == obj:
                 return False
-        elif counts is None:
+        elif counts is None:  # SINGLE: only the first vote counts
+            self._n_votes += 1
             if self._current_vote[player] >= 0:
-                return False  # SINGLE: only the first vote counts
+                return False
+            self._first_position[player] = self._n_votes - 1
         else:
             count = int(counts[player])
             if count >= self.max_votes_per_player:
@@ -317,11 +328,10 @@ class VoteLedger:
         engine's hot path for adversaries that flood thousands of votes in
         one round. The other modes fall back to the per-post rule.
 
-        A ``SINGLE`` block whose player ids strictly increase (every
-        honest block: its voters are a masked subset of the engine's
-        sorted active ids) repeats no player, so it skips the sort that
-        finds each player's first vote in any other block. A block whose
-        every vote is effective is logged from its own arrays.
+        ``SINGLE`` has one rule for every block, and no sort: the votes
+        take the next running positions, ``np.minimum.at`` keeps each
+        player's first, and a vote is effective iff it holds its
+        player's. An all-effective block is logged from its own arrays.
 
         An empty block is an explicit no-op: no state is touched, the
         memo survives, and an empty boolean mask is returned.
@@ -335,7 +345,8 @@ class VoteLedger:
             )
         if players.size == 0:
             return np.zeros(0, dtype=bool)
-        if self.mode is not VoteMode.SINGLE or players.size < 2:
+        first = self._first_position
+        if first is None:
             return np.array(
                 [
                     self._record_one(round_no, int(p), int(o))
@@ -343,14 +354,11 @@ class VoteLedger:
                 ],
                 dtype=bool,
             )
-        # SINGLE: a vote is effective iff the player has no prior vote
-        # and this is the player's first vote within the block.
-        effective = self._current_vote[players] == -1
-        if not (players[1:] > players[:-1]).all():
-            first_in_block = np.zeros(players.size, dtype=bool)
-            _uniq, first = np.unique(players, return_index=True)
-            first_in_block[first] = True
-            effective &= first_in_block
+        start = self._n_votes
+        self._n_votes = start + players.size
+        positions = np.arange(start, self._n_votes)
+        np.minimum.at(first, players, positions)
+        effective = first[players] == positions
         n_effective = int(np.count_nonzero(effective))
         if n_effective:
             if n_effective == players.size:
@@ -413,24 +421,17 @@ class VoteLedger:
             result = self._current_vote.copy()
             result[self._players.view()[cutoff:]] = -1
         else:
-            result = self._last_vote_array(cutoff)
+            result = self._first_vote_array(cutoff, step=-1)
         return self._memoize(key, result)
 
-    def _first_vote_array(self, cutoff: int) -> np.ndarray:
+    def _first_vote_array(self, cutoff: int, step: int = 1) -> np.ndarray:
+        """Each player's first effective vote among the first ``cutoff``,
+        or its last with ``step=-1`` (the first in the reversed log)."""
         result = np.full(self.n_players, -1, dtype=np.int64)
-        players = self._players.view()[:cutoff]
+        players = self._players.view()[:cutoff][::step]
         if players.size:
             uniq, first = np.unique(players, return_index=True)
-            result[uniq] = self._objects.view()[:cutoff][first]
-        return result
-
-    def _last_vote_array(self, cutoff: int) -> np.ndarray:
-        result = np.full(self.n_players, -1, dtype=np.int64)
-        players = self._players.view()[:cutoff][::-1]
-        if players.size:
-            # First occurrence in the reversed column = last vote overall.
-            uniq, first = np.unique(players, return_index=True)
-            result[uniq] = self._objects.view()[:cutoff][::-1][first]
+            result[uniq] = self._objects.view()[:cutoff][::step][first]
         return result
 
     def objects_with_votes(self, before_round: Optional[int] = None) -> np.ndarray:

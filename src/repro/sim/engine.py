@@ -191,8 +191,8 @@ class SynchronousEngine:
         satisfied_round = np.full(n, -1, dtype=np.int64)
         halted_round = np.full(n, -1, dtype=np.int64)
         # The active set is kept as a sorted id array maintained
-        # incrementally (set-minus on crash, a keep-mask on halt, union
-        # on restart), so a round's cost scales with the players that
+        # incrementally (a keep-mask on crash and on halt, a merge on
+        # restart), so a round's cost scales with the players that
         # actually act — there is no per-round O(n) mask scan. The arrays
         # stay bit-identical to the flatnonzero(active) scans they replace:
         # every update preserves sorted unique ids.
@@ -221,6 +221,8 @@ class SynchronousEngine:
             count_probes = obs.counter("engine.probes").add
             count_votes = obs.counter("engine.votes").add
             count_halts = obs.counter("engine.halts").add
+            self._count_honest_posts = obs.counter("billboard.posts_honest").add
+            self._count_adversary_posts = obs.counter("billboard.posts_adversary").add
 
         round_no = 0
         while round_no < self.config.max_rounds:
@@ -228,7 +230,8 @@ class SynchronousEngine:
                 restarts = restart_at.pop(round_no, None)
                 if restarts is not None:
                     n_down -= restarts.size
-                    active_ids = np.union1d(active_ids, restarts)
+                    # restarts were down, so the merge is of disjoint sets
+                    active_ids = np.sort(np.concatenate((active_ids, restarts)))
                     faults.note_restarts(restarts)
                     self.strategy.on_player_restart(round_no, restarts)
                     if self.trace is not None:
@@ -246,9 +249,10 @@ class SynchronousEngine:
                 # r does not probe in round r
                 crashed = faults.crash_coins(round_no, active_ids)
                 if crashed.size:
-                    active_ids = np.setdiff1d(
-                        active_ids, crashed, assume_unique=True
-                    )
+                    # crashed is drawn from the sorted active_ids
+                    keep = np.ones(active_ids.size, dtype=bool)
+                    keep[active_ids.searchsorted(crashed)] = False
+                    active_ids = active_ids[keep]
                     if faults.plan.restart_after is None:
                         halted_round[crashed] = round_no
                     else:
@@ -448,9 +452,7 @@ class SynchronousEngine:
         if landed[0].size:
             self.board.post_block(round_no, *landed, kind)
             if self.obs is not None:
-                self.obs.counter("billboard.posts_honest").add(
-                    int(landed[0].size)
-                )
+                self._count_honest_posts(int(landed[0].size))
         if self.trace is None:
             return
         if kind is PostKind.VOTE:
@@ -499,9 +501,7 @@ class SynchronousEngine:
         check_block(self.adversary.name, block, self.instance.honest_mask)
         self.board.post_block(round_no, *block)
         if self.obs is not None:
-            self.obs.counter("billboard.posts_adversary").add(
-                len(block.players)
-            )
+            self._count_adversary_posts(len(block.players))
         if self.trace is not None:
             for player, object_id in zip(
                 np.asarray(block.players).tolist(),

@@ -1,5 +1,7 @@
 """Tests for the append-only billboard."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,59 @@ def _poke(column, row, value):
             return
         row -= part.size
     raise IndexError(row)
+
+
+#: the board's four write paths: a same-kind column block, an all-vote
+#: and a mixed-kind entry batch, and one row at a time
+WRITE_PATHS = ("post_block", "append_many_votes", "append_many_mixed", "append")
+
+
+def _history(path):
+    """Three rounds of ``(player, object, value, kind)`` entries that
+    ``path`` can write, players repeating within and across rounds."""
+    rows = [
+        [(1, 2, 1.0), (3, 4, 0.5), (1, 5, -2.5)],
+        [(6, 7, 0.25), (1, 2, 1.0)],
+        [(0, 15, 3.0), (7, 0, -1.0), (3, 3, 0.75)],
+    ]
+    same_kind = path in ("post_block", "append_many_votes")
+    return [
+        [
+            (p, o, v, PostKind.VOTE if same_kind or (p + o) % 2 else PostKind.REPORT)
+            for p, o, v in round_rows
+        ]
+        for round_rows in rows
+    ]
+
+
+def _write(board, path, round_no, entries):
+    """Write one round's ``entries`` through ``path``."""
+    if path == "post_block":
+        players, objects, values, kinds = zip(*entries)
+        assert len(set(kinds)) == 1
+        board.post_block(
+            round_no, np.array(players), np.array(objects), np.array(values), kinds[0]
+        )
+    elif path == "append":
+        for entry in entries:
+            board.append(round_no, *entry)
+    else:
+        board.append_many(round_no, entries)
+
+
+#: out-of-API edits: a changed value in each stored column, a reorder
+#: and a delete
+_EDITS = {
+    "round": lambda board: _poke(board._rounds, 4, 2),
+    "player": lambda board: _poke(board._players, 1, 5),
+    "object": lambda board: _poke(board._objects, 4, 9),
+    "value": lambda board: _poke(board._values, 0, 0.125),
+    "kind": lambda board: _poke(
+        board._kinds, 3, 1 - board._kinds.view()[3]
+    ),
+    "reorder": lambda board: _edit_columns(board, lambda rows: rows[::-1]),
+    "delete": lambda board: _edit_columns(board, lambda rows: rows[:-1]),
+}
 
 
 def _edit_columns(board, edit):
@@ -318,6 +373,51 @@ class TestIntegrityChain:
             deferred.append(round_no, player, obj, value, kind)
         assert deferred.head_digest == polled.head_digest == GOLDEN_DIGEST
 
+    @pytest.mark.parametrize("path", WRITE_PATHS)
+    def test_every_write_path_folds_to_the_golden_digest(self, path):
+        board = Billboard(4, 4)
+        for round_no, player, obj, value, kind in _golden_entries():
+            _write(board, path, round_no, [(player, obj, value, kind)])
+        assert board.head_digest == GOLDEN_DIGEST
+        board.verify_integrity()
+
+    @pytest.mark.parametrize("edit", sorted(_EDITS))
+    @pytest.mark.parametrize("path", WRITE_PATHS)
+    def test_an_edit_before_the_first_digest_read_is_caught(self, path, edit):
+        """Whichever write put the rows on the board, the chain folds
+        the copy taken at write time: an edit made before the digest is
+        ever read leaves the head digest the clean board's and fails
+        verification."""
+        clean, tampered = Billboard(8, 16), Billboard(8, 16)
+        for board_ in (clean, tampered):
+            for round_no, entries in enumerate(_history(path)):
+                _write(board_, path, round_no, entries)
+        _EDITS[edit](tampered)
+        assert tampered.head_digest == clean.head_digest
+        clean.verify_integrity()
+        with pytest.raises(TamperError):
+            tampered.verify_integrity()
+
+    def test_one_row_appends_keep_a_packed_pending_copy(self):
+        """The chain's pending copy of a one-row append is one packed
+        21-byte row: the chained board holds no more than that per post
+        beyond what the plain columnar board holds."""
+        posts = 4096  # a power of two: every buffer ends full
+
+        def held(cls):
+            board = cls(64, 64)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                for i in range(posts):
+                    kind = PostKind.VOTE if i % 3 else PostKind.REPORT
+                    board.append(i // 7, i % 64, (5 * i) % 64, 0.5, kind)
+                return tracemalloc.get_traced_memory()[0] - start
+            finally:
+                tracemalloc.stop()
+
+        assert held(Billboard) - held(ColumnarBoard) <= 22 * posts
+
     def test_full_run_board_verifies(self):
         import numpy as np
 
@@ -390,6 +490,45 @@ class TestAppendMany:
         assert len(board) == 1
         assert board.head_digest == digest
         assert board.current_vote_array()[1] == -1
+
+    @pytest.mark.parametrize(
+        "round_no,entries,error,message",
+        [
+            # the round is every entry's, so entry 0 raises it before a
+            # later entry's bad id
+            (1, [(1, 1, 1.0, PostKind.VOTE), (99, 2, 0.0, PostKind.VOTE)],
+             TamperError, "post stamped round 1 after round 2"),
+            (-1, [(1, 1, 1.0, PostKind.VOTE), (2, 99, 0.0, PostKind.REPORT)],
+             InvalidPostError, "negative round -1"),
+            # entry 0's own bad id comes before the round
+            (1, [(99, 1, 1.0, PostKind.VOTE)],
+             InvalidPostError, "unknown player identity 99 (n=8)"),
+            (3, [(1, 1, 1.0, PostKind.VOTE), (2, 2, 0.0, PostKind.REPORT),
+                 (2, -5, 0.0, PostKind.VOTE), (9, 1, 0.0, PostKind.VOTE)],
+             InvalidPostError, "unknown object -5 (m=16)"),
+        ],
+    )
+    @pytest.mark.parametrize("cls", [Billboard, ColumnarBoard])
+    def test_first_bad_entry_raises_and_nothing_lands(
+        self, cls, round_no, entries, error, message
+    ):
+        board = cls(8, 16)
+        board.append_many(2, [(1, 5, 1.0, PostKind.VOTE), (2, 7, 0.0, PostKind.REPORT)])
+        before = [column.view().copy() for column in board._columns()]
+        with pytest.raises(error) as err:
+            board.append_many(round_no, entries)
+        assert str(err.value).startswith(message)
+        assert [column.view().tolist() for column in board._columns()] == [
+            column.tolist() for column in before
+        ]
+        assert board.last_round == 2
+        assert board.ledger.effective_vote_count == 1
+        assert board.current_vote_array().tolist() == [-1, 5] + [-1] * 6
+        # the ledger's first-vote rule saw nothing of the refused batch
+        board.append_many(3, [(2, 3, 1.0, PostKind.VOTE), (1, 4, 1.0, PostKind.VOTE)])
+        assert board.current_vote_array().tolist() == [-1, 5, 3] + [-1] * 5
+        if cls is Billboard:
+            board.verify_integrity()
 
     def test_round_regression_rejected(self, board):
         board.append(4, 0, 0, 0.0, PostKind.REPORT)

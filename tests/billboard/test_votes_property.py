@@ -108,3 +108,59 @@ def test_objects_with_votes_matches_counts(stream):
     assert np.array_equal(
         ledger.objects_with_votes(), np.flatnonzero(counts > 0)
     )
+
+
+# A SINGLE-mode write schedule: each step is one per-post ``record``
+# (a 1-tuple) or one block (a list, possibly empty, players repeating in
+# any order), then a round advance of 0-2.
+_pair = st.tuples(st.integers(0, N_PLAYERS - 1), st.integers(0, N_OBJECTS - 1))
+write_schedules = st.lists(
+    st.tuples(
+        st.one_of(st.tuples(_pair), st.lists(_pair, max_size=12)),
+        st.integers(0, 2),
+    ),
+    max_size=25,
+)
+
+
+@given(write_schedules)
+@settings(max_examples=120, deadline=None)
+def test_single_record_block_equals_per_post_recording(schedule):
+    """SINGLE ``record_block`` (one first-vote rule for every block)
+    gives each vote the effectiveness one ``record`` per pair gives it,
+    whatever the block's order, its repeats, the players who voted
+    before it, and the per-post records between blocks; every query
+    then agrees at every horizon."""
+    blocked = VoteLedger(N_PLAYERS, N_OBJECTS, mode=VoteMode.SINGLE)
+    per_post = VoteLedger(N_PLAYERS, N_OBJECTS, mode=VoteMode.SINGLE)
+    round_no = 0
+    for step, advance in schedule:
+        votes = [
+            Post(0, round_no, player, obj, 1.0, PostKind.VOTE)
+            for player, obj in step
+        ]
+        expected = [per_post.record(post) for post in votes]
+        if isinstance(step, tuple):
+            got = [blocked.record(votes[0])]
+        else:
+            mask = blocked.record_block(
+                round_no,
+                np.array([p for p, _ in step], dtype=np.int64),
+                np.array([o for _, o in step], dtype=np.int64),
+            )
+            assert mask.dtype == np.bool_
+            got = mask.tolist()
+        assert got == expected
+        assert blocked.effective_vote_count == per_post.effective_vote_count
+        round_no += advance
+    for horizon in [None, *range(round_no + 2)]:
+        for query in ("current_vote_array", "objects_with_votes"):
+            assert np.array_equal(
+                getattr(blocked, query)(horizon), getattr(per_post, query)(horizon)
+            ), (query, horizon)
+    for start in range(round_no + 2):
+        for end in range(start, round_no + 2):
+            assert np.array_equal(
+                blocked.counts_in_window(start, end),
+                per_post.counts_in_window(start, end),
+            ), (start, end)

@@ -11,6 +11,7 @@ The contract under test, per fault kind:
 """
 
 import numpy as np
+import pytest
 
 from repro.adversaries.base import Adversary
 from repro.billboard.post import PostBlock, PostKind
@@ -154,6 +155,74 @@ class TestChurn:
         assert not metrics.all_honest_satisfied
         assert metrics.fault_info["crashes"] >= 2
         assert metrics.fault_info["restarts"] >= 1
+
+
+class ActiveSetSpyStrategy(Strategy):
+    """Probes a random object per active player (so some hit a good one,
+    vote and halt) and records the active ids it is handed each round."""
+
+    name = "active-spy"
+
+    def reset(self, ctx, rng):
+        super().reset(ctx, rng)
+        self.seen = {}
+
+    def choose_probes(self, round_no, active_players, view):
+        self.seen[round_no] = active_players.copy()
+        return self.rng.integers(0, self.ctx.m, size=active_players.size)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "crash_rate,restart_after",
+    [(0.05, 4), (0.2, 1), (0.5, 2), (0.3, None)],
+)
+def test_active_set_matches_the_set_operations(seed, crash_rate, restart_after):
+    """Each round's active set, as the strategy is handed it, is the
+    sorted int64 array that ``np.union1d`` on restart and
+    ``np.setdiff1d`` on crash and halt give, rebuilt from the run's
+    trace over a random crash/restart schedule."""
+    world, coins, churn_rng = (
+        np.random.default_rng(child)
+        for child in np.random.SeedSequence(seed).spawn(3)
+    )
+    inst = planted_instance(n=96, m=96, beta=1 / 12, alpha=0.75, rng=world)
+    spy = ActiveSetSpyStrategy()
+    engine = SynchronousEngine(
+        inst,
+        spy,
+        rng=coins,
+        fault_injector=FaultInjector(
+            FaultPlan(crash_rate=crash_rate, restart_after=restart_after),
+            churn_rng,
+        ),
+        config=EngineConfig(max_rounds=400, strict=False, trace=True),
+    )
+    metrics = engine.run()
+    events = {}
+    for event in engine.trace:
+        events.setdefault((event.round_no, event.kind), []).append(
+            np.array(event.payload.get("players", ()), dtype=np.int64)
+        )
+    active = inst.honest_ids.astype(np.int64)
+    churn = 0
+    for round_no in range(metrics.rounds):
+        for players in events.get((round_no, "fault_restart"), []):
+            active = np.union1d(active, players)
+            churn += 1
+        for players in events.get((round_no, "fault_crash"), []):
+            active = np.setdiff1d(active, players, assume_unique=True)
+            churn += 1
+        if round_no in spy.seen:
+            seen = spy.seen[round_no]
+            assert seen.dtype == active.dtype
+            assert np.array_equal(seen, active), round_no
+        else:  # only a round with every player down probes nobody
+            assert active.size == 0, round_no
+        for players in events.get((round_no, "halt"), []):
+            active = np.setdiff1d(active, players, assume_unique=True)
+    assert churn > 2
+    assert metrics.fault_info["crashes"] > 0
 
 
 class TestNullPlanIdentity:

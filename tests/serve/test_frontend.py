@@ -152,33 +152,32 @@ def test_a_client_that_stops_reading_is_paused_and_holds_its_slot():
         assert runner.service.obs.counter("serve.shed").value == 1
 
 
-def holds_a_slot(gauge, looks=5):
-    """A paused request holds its slot: the gauge reads 1 at several
-    looks 20 ms apart (a request being answered holds it for far less)."""
-    for _ in range(looks):
-        if gauge.inflight != 1:
-            return False
-        time.sleep(0.02)
-    return True
-
-
 def test_shutdown_closes_a_connection_that_stopped_reading():
     """A paused connection cannot hold the service open: ``shutdown``
     closes it along with the listener, and the service thread ends."""
     m = 4096
     runner = ServiceThread(ServeConfig(n_players=32, n_objects=m))
     with runner, connect(runner.address, rcvbuf=4096) as stalled:
-        gauge = runner.service._gauge
-        sent = 0
-        while not holds_a_slot(gauge):
-            assert sent < m, "the service never paused the connection"
-            stalled.sendall(
-                b"".join(
-                    encode_frame("query", {"op": "recommend", "k": m - i})
-                    for i in range(sent, sent + 64)
-                )
+        # far more reply bytes (a few KB each) than the socket buffers
+        # and the transport's write buffer hold, so the service must
+        # pause the connection part-way through
+        stalled.sendall(
+            b"".join(
+                encode_frame("query", {"op": "recommend", "k": m - i})
+                for i in range(512)
             )
-            sent += 64
+        )
+        service = runner.service
+        deadline = time.monotonic() + SOCKET_TIMEOUT_S
+        # paused, with the last admitted request holding its slot
+        while not (
+            service._gauge.inflight == 1
+            and any(c.paused for c in list(service._connections))
+        ):
+            assert time.monotonic() < deadline, (
+                "the service never paused the connection"
+            )
+            time.sleep(0.01)
         runner.stop(timeout=SOCKET_TIMEOUT_S)
         assert not runner._thread.is_alive()
         try:
